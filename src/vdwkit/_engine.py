@@ -59,11 +59,20 @@ lexicographically no larger one that the cap admits).
 
 Root assumptions: a run may start from a list of (position, color)
 pairs, assigned and propagated in order before the first decision; a
-conflict among them makes the run exhausted at once.  Applying the first
-D decisions of a path of the unrestricted search this way reproduces
-that search's state below the path exactly, so split_into_cubes can cut
-one search into independent subtrees whose node counts add up to the
-undivided search's.
+conflict among them makes the run exhausted at once.  pattern_cubes
+uses them to cut length T into cubes, each fixing the first d positions
+of the branching order (0, 1, ... for ORDER_LOWEST, middle_out(T) for
+ORDER_MOST_BLOCKED) to one first-use pattern: each color at most one
+above the largest before it.  The cubes decide length T:
+  (1) Any valid coloring, relabeled by first appearance along the d
+      positions, is a valid coloring inside exactly one cube.
+  (2) After a first-use pattern is replayed the colors in use are 0..m,
+      since a pattern color and a forced move each add at most m+1.  So
+      the invariant above holds at a cube's root and the cap stays sound.
+  (3) With ORDER_LOWEST the cubes come in lexicographic order and each
+      is searched lowest-first.  The lexicographically least valid
+      coloring is first-use, so it lies in a cube, and a coloring in an
+      earlier cube would be smaller; so it is the first one found.
 
 Every mutation lands on a trail; undo walks the trail backwards.  On a
 conflict the propagation queue still drains its member-count updates so
@@ -93,6 +102,10 @@ ORDER_LOWEST = 0
 ORDER_MOST_BLOCKED = 1
 
 ENGINES = ("jit", "python")
+
+# pattern_cubes cuts each length into at least this many cubes: enough to
+# keep a few workers busy and each cube small, few enough to open cheaply
+CUBE_PATTERNS = 16
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 
@@ -237,24 +250,15 @@ class PythonRun:
                     break
         return best
 
-    def step(self, node_quota: int, cube_depth: int = 0, cubes=None) -> int:
-        return _kernel_impl(self, node_quota, cube_depth, cubes)
+    def step(self, node_quota: int) -> int:
+        return _kernel_impl(self, node_quota)
 
     def coloring(self) -> list[int]:
         return list(self.col)
 
 
-def _kernel_impl(
-    run: PythonRun, node_quota: int, cube_depth: int = 0, cubes=None
-) -> int:
-    """Run until FOUND, EXHAUSTED, or node_quota more decisions.
-
-    With cube_depth > 0 the search does not descend below that many
-    decisions: each consistent path of that length is appended to cubes
-    as its (position, color) decisions, and the search moves on as if
-    the subtree were exhausted.  A coloring found above the cut is
-    appended the same way and ends the run with ST_FOUND.
-    """
+def _kernel_impl(run: PythonRun, node_quota: int) -> int:
+    """Run until FOUND, EXHAUSTED, or node_quota more decisions."""
     if run.status in (ST_FOUND, ST_EXHAUSTED):
         return run.status
     r = run.r
@@ -287,13 +291,9 @@ def _kernel_impl(
         if not run._propagate(p, c):
             continue
         q = run._select()
-        if q < 0 or d + 1 == cube_depth:
-            if cubes is not None:
-                cubes.append([(dec_pos[j], dec_color[j]) for j in range(d + 1)])
-            if q < 0:
-                status = ST_FOUND
-                break
-            continue
+        if q < 0:
+            status = ST_FOUND
+            break
         run._open_frame(d + 1, q)
     run.nodes += nodes
     run.status = status
@@ -441,22 +441,17 @@ def open_run(engine: str, r: int, k: int, T: int, order: int, assumptions=()):
     return PythonRun(r, k, T, order, assumptions)
 
 
-def split_into_cubes(r: int, k: int, T: int, order: int, want: int):
-    """Cut the search at length T into subtrees for parallel workers.
-
-    Returns (cubes, run): cubes lists the root assumptions of each
-    subtree in the order the undivided search would visit them, cut at
-    the shallowest decision depth that yields at least want of them (or
-    at full depth); run is the reference run that made the cut, whose
-    nodes and max_depth count the decisions above it.  An empty list
-    means the cut already exhausted the search; when run.status is
-    ST_FOUND the last cube is a complete coloring.
-    """
-    depth = 1
-    while True:
-        run = PythonRun(r, k, T, order)
-        cubes: list = []
-        status = run.step(1 << 62, cube_depth=depth, cubes=cubes)
-        if status == ST_FOUND or len(cubes) >= want or not cubes or depth >= T:
-            return cubes, run
-        depth += 1
+def pattern_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
+    """The cubes of length T as root assumptions: every first-use color
+    pattern, in lexicographic order, on the first d positions of the
+    branching order, where d (at most T) is the least depth that gives
+    at least CUBE_PATTERNS.  See the module docstring for soundness."""
+    positions = range(T) if order == ORDER_LOWEST else middle_out(T)
+    patterns: list[tuple[int, ...]] = [()]
+    while len(patterns) < CUBE_PATTERNS and len(patterns[0]) < T:
+        patterns = [
+            pattern + (c,)
+            for pattern in patterns
+            for c in range(min(max(pattern, default=-1) + 2, r))
+        ]
+    return [list(zip(positions, pattern)) for pattern in patterns]

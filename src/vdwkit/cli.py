@@ -275,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=search.MODES,
         default=search.MODE_WITNESS_PROOF,
         help="witness-proof (default): power-residue witness, then one "
-        "exhaustive proof; canonical/parallel: lexicographically least "
-        "certificates, on one thread or several",
+        "exhaustive proof; canonical: lexicographically least certificates "
+        "from a climb that starts at length k-1",
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument(

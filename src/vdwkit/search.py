@@ -23,10 +23,9 @@ from ._engine import (
     ORDER_MOST_BLOCKED,
     ST_EXHAUSTED,
     ST_FOUND,
-    compiled_library,
     open_run,
+    pattern_cubes,
     resolve_engine,
-    split_into_cubes,
 )
 from .registry import SEARCH_DERIVED, VdwRecord
 
@@ -36,8 +35,7 @@ STATUS_LOWER_BOUND = "lower-bound-only"
 
 MODE_WITNESS_PROOF = "witness-proof"
 MODE_CANONICAL = "canonical"
-MODE_PARALLEL = "parallel"
-MODES = (MODE_WITNESS_PROOF, MODE_CANONICAL, MODE_PARALLEL)
+MODES = (MODE_WITNESS_PROOF, MODE_CANONICAL)
 
 # chunk sizing for the resumable kernel: aim for ~0.2s between budget
 # checks regardless of engine speed
@@ -151,6 +149,13 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """nodes counts decisions: one per opened cube, for its pattern, and
+    one per color tried inside it.  max_depth is the most positions ever
+    colored at once, conflicting assignments included.  On k = 3 the C
+    kernel's mask path reaches a conflict in fewer assignments, so its
+    max_depth can be below the Python reference's; engine agreement is
+    checked on verdict, certificate and nodes only."""
+
     nodes: int
     elapsed: float
     max_depth: int
@@ -303,6 +308,10 @@ class _Budget:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.perf_counter() >= self.deadline
 
+    def spent(self) -> bool:
+        """True once the deadline has passed or the node pool is dry."""
+        return self.out_of_time() or self._pool == 0
+
     def draw(self, want: int) -> int:
         """Reserve up to want nodes; 0 means the pool is dry."""
         if self._pool is None:
@@ -326,16 +335,14 @@ def _next_chunk(prev: int, dt: float) -> int:
     return max(_CHUNK_MIN, min(_CHUNK_MAX, int(rate * _CHUNK_SECONDS)))
 
 
-def _run_single(run, budget: _Budget, should_abort=None):
+def _run_single(run, budget: _Budget, should_abort):
     """Drive one kernel run in chunks until a verdict or the budget dies.
 
     Returns ST_FOUND, ST_EXHAUSTED, or None for an undecided stop.
     """
     chunk = 4096
     while True:
-        if budget.out_of_time():
-            return None
-        if should_abort is not None and should_abort():
+        if budget.out_of_time() or should_abort():
             return None
         quota = budget.draw(chunk)
         if quota <= 0:
@@ -457,36 +464,30 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     """Search length T.  Returns (verdict, colors, nodes, max_depth) with
     verdict ST_FOUND, ST_EXHAUSTED, or None when the budget stopped it.
 
-    With several workers the search is cut into cubes (split_into_cubes)
-    that threads take in order.  A cube that finds a coloring makes the
-    later ones moot; the earliest finding cube wins, so a search that
-    runs to a verdict returns the coloring the undivided search would.
+    The length is cut into the cubes of pattern_cubes, which threads take
+    in order.  A cube that finds a coloring makes the later ones moot; the
+    earliest finding cube wins, so a search that runs to a verdict returns
+    the same coloring for any worker count.
     """
-    if workers <= 1:
-        run = open_run(engine, r, k, T, order)
-        status = _run_single(run, budget)
-        colors = run.coloring() if status == ST_FOUND else None
-        return status, colors, run.nodes, run.max_depth
-
-    cubes, cut = split_into_cubes(r, k, T, order, 4 * workers)
-    if not cubes:
-        return ST_EXHAUSTED, None, cut.nodes, cut.max_depth
+    cubes = pattern_cubes(r, T, order)
     lock = threading.Lock()
     best_found = [len(cubes)]  # smallest cube index that found a coloring
-    runs: list = [None] * len(cubes)
-    statuses: list = [None] * len(cubes)
+    # (status, nodes, max_depth, colors) per opened cube; the run itself
+    # is dropped so that its kernel state is freed
+    results: list = [None] * len(cubes)
 
     def moot(idx: int) -> bool:
         with lock:
             return best_found[0] < idx
 
     def task(idx: int) -> None:
-        if moot(idx):
+        if moot(idx) or budget.spent():
             return
         run = open_run(engine, r, k, T, order, cubes[idx])
-        runs[idx] = run
-        statuses[idx] = _run_single(run, budget, should_abort=lambda: moot(idx))
-        if statuses[idx] == ST_FOUND:
+        status = _run_single(run, budget, should_abort=lambda: moot(idx))
+        colors = run.coloring() if status == ST_FOUND else None
+        results[idx] = (status, 1 + run.nodes, run.max_depth, colors)
+        if status == ST_FOUND:
             with lock:
                 best_found[0] = min(best_found[0], idx)
 
@@ -494,12 +495,12 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
         for future in [pool.submit(task, idx) for idx in range(len(cubes))]:
             future.result()
 
-    started = [run for run in runs if run is not None]
-    nodes = cut.nodes + sum(run.nodes for run in started)
-    max_depth = max([cut.max_depth] + [run.max_depth for run in started])
+    opened = [res for res in results if res is not None]
+    nodes = sum(res[1] for res in opened)
+    max_depth = max((res[2] for res in opened), default=0)
     if best_found[0] < len(cubes):
-        return ST_FOUND, runs[best_found[0]].coloring(), nodes, max_depth
-    if all(status == ST_EXHAUSTED for status in statuses):
+        return ST_FOUND, results[best_found[0]][3], nodes, max_depth
+    if all(res is not None and res[0] == ST_EXHAUSTED for res in results):
         return ST_EXHAUSTED, None, nodes, max_depth
     return None, None, nodes, max_depth
 
@@ -523,13 +524,12 @@ def compute_vdw(
 
     mode "witness-proof" (the default) starts from power_residue_witness
     and branches most-blocked-first, so the climb is short and usually
-    ends in one exhaustive proof.  Its certificates
-    are deterministic: the same for either engine and any worker count.
-    mode "canonical" starts from the all-zero coloring of length k-1,
-    branches lowest-first on one thread, and its certificate is the
-    lexicographically least valid coloring of its length.  mode
-    "parallel" is "canonical" split over worker threads and returns the
-    same certificates.
+    ends in one exhaustive proof.  mode "canonical" starts from the
+    all-zero coloring of length k-1 and branches lowest-first, and its
+    certificate is the lexicographically least valid coloring of its
+    length.  In both modes each length is cut into the same cubes
+    (pattern_cubes) whatever the worker count, so certificates are
+    deterministic: the same for either engine and any worker count.
 
     workers defaults to the CPU count; the Python engine always uses one
     thread, since threads cannot overlap its bytecode.  max_length stops
@@ -545,7 +545,7 @@ def compute_vdw(
     if max_length is not None and max_length < k:
         raise ValueError(f"max_length {max_length} below the shortest target {k}")
     engine = resolve_engine(engine)
-    if mode == MODE_CANONICAL or engine == "python":
+    if engine == "python":
         workers = 1
     elif workers is None:
         workers = os.cpu_count() or 1
@@ -601,8 +601,3 @@ def compute_vdw(
         )
     return outcome
 
-
-def warmup() -> None:
-    """Build and load the compiled kernel so timed runs measure search,
-    not compilation."""
-    compiled_library()

@@ -28,6 +28,6 @@ def registry():
 @pytest.fixture(scope="session")
 def warm_engine():
     """Compile the search kernel once so timed runs measure search only."""
-    from vdwkit.search import warmup
+    from vdwkit._engine import compiled_library
 
-    warmup()
+    compiled_library()

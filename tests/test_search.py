@@ -1,18 +1,22 @@
 """Search engine, certificates, budgets, and the file format."""
+import itertools
 import os
 import random
 import shutil
 
 import pytest
 
+from vdwkit import _engine
 from vdwkit._engine import (
+    CUBE_PATTERNS,
     ORDER_LOWEST,
     ORDER_MOST_BLOCKED,
     ST_EXHAUSTED,
     ST_FOUND,
     compiled_library,
+    middle_out,
     open_run,
-    split_into_cubes,
+    pattern_cubes,
 )
 from vdwkit.registry import USER_SUPPLIED, Registry, RegistryConflictError, VdwRecord
 from vdwkit.search import (
@@ -161,20 +165,29 @@ class TestComputeVdw:
             # same algorithm, same tree: the node counts must match too
             assert py.stats.nodes == jit.stats.nodes, mode
 
-    @pytest.mark.parametrize("r, k", [(2, 4), (3, 3)])
-    def test_parallel_matches_canonical(self, warm_engine, r, k):
-        canonical = compute_vdw(r, k, mode="canonical")
-        parallel = compute_vdw(r, k, mode="parallel", workers=4)
-        assert (parallel.status, parallel.value) == (canonical.status, canonical.value)
-        assert parallel.certificate.colors == canonical.certificate.colors
-
+    # covers both modes; name and ids are kept from when only the default
+    # mode took workers
     @pytest.mark.parametrize("r, k", [(2, 4), (3, 3)])
     def test_witness_proof_certificate_ignores_worker_count(self, warm_engine, r, k):
-        one = compute_vdw(r, k, workers=1)
-        four = compute_vdw(r, k, workers=4)
-        assert one.status == four.status == "exact"
-        assert one.value == four.value
-        assert one.certificate.colors == four.certificate.colors
+        for mode in ("witness-proof", "canonical"):
+            one = compute_vdw(r, k, mode=mode, workers=1)
+            assert one.status == "exact", mode
+            for workers in (2, 4):
+                many = compute_vdw(r, k, mode=mode, workers=workers)
+                assert (many.status, many.value) == (one.status, one.value), mode
+                assert many.certificate.colors == one.certificate.colors, mode
+
+    @needs_compiler
+    def test_compiled_engine_builds_no_reference_run(self, warm_engine, monkeypatch):
+        engine = compiled_engine()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference kernel ran on the compiled engine")
+
+        monkeypatch.setattr(_engine, "PythonRun", refuse)
+        for mode in ("witness-proof", "canonical"):
+            outcome = compute_vdw(3, 3, mode=mode, engine=engine)
+            assert (outcome.status, outcome.value) == ("exact", 27)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -206,29 +219,49 @@ class TestKernelSoundness:
     def test_verdicts_match_brute_force(self, warm_engine, r, k, lengths):
         engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
         for T in lengths:
-            satisfiable = reference_lex_first(r, k, T) is not None
+            reference = reference_lex_first(r, k, T)
+            satisfiable = reference is not None
             for engine in engines:
                 for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
+                    where = f"T={T} engine={engine} order={order}"
                     run = open_run(engine, r, k, T, order)
                     status = run.step(1 << 40)
-                    assert status == (ST_FOUND if satisfiable else ST_EXHAUSTED), (
-                        f"T={T} engine={engine} order={order}"
-                    )
+                    assert status == (ST_FOUND if satisfiable else ST_EXHAUSTED), where
                     if satisfiable:
                         cert = Certificate(r, k, T, Coloring(r, tuple(run.coloring())))
                         assert verify_certificate(cert)
+                    # the cubes, searched in order up to the first that
+                    # finds a coloring, decide the same length
+                    found = None
+                    for cube in pattern_cubes(r, T, order):
+                        run = open_run(engine, r, k, T, order, cube)
+                        if run.step(1 << 40) == ST_FOUND:
+                            found = run.coloring()
+                            break
+                    assert (found is not None) == satisfiable, where
+                    if order == ORDER_LOWEST:
+                        assert found == reference, where
 
-    @pytest.mark.parametrize("r, k, T", [(2, 4, 35), (3, 3, 27), (2, 3, 9)])
-    def test_cubes_partition_the_search_exactly(self, r, k, T):
-        whole = open_run("python", r, k, T, ORDER_MOST_BLOCKED)
-        assert whole.step(1 << 40) == ST_EXHAUSTED
-        cubes, cut = split_into_cubes(r, k, T, ORDER_MOST_BLOCKED, 8)
-        nodes = cut.nodes
-        for cube in cubes:
-            run = open_run("python", r, k, T, ORDER_MOST_BLOCKED, cube)
-            assert run.step(1 << 40) == ST_EXHAUSTED
-            nodes += run.nodes
-        assert nodes == whole.nodes
+    @pytest.mark.parametrize("r, T", [(2, 3), (2, 35), (3, 27), (4, 76)])
+    def test_cubes_are_the_first_use_patterns(self, r, T):
+        for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
+            cubes = pattern_cubes(r, T, order)
+            depth = len(cubes[0])
+            positions = list(range(T)) if order == ORDER_LOWEST else middle_out(T)
+            assert all([p for p, _ in cube] == positions[:depth] for cube in cubes)
+
+            def first_use(d):
+                return [
+                    pattern
+                    for pattern in itertools.product(range(r), repeat=d)
+                    if all(c <= max(pattern[:i], default=-1) + 1
+                           for i, c in enumerate(pattern))
+                ]
+
+            # lexicographic order, and the least depth with enough cubes
+            assert [tuple(c for _, c in cube) for cube in cubes] == first_use(depth)
+            assert len(cubes) >= CUBE_PATTERNS or depth == T
+            assert len(first_use(depth - 1)) < CUBE_PATTERNS
 
 
 class TestBudgets:
