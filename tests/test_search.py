@@ -165,17 +165,26 @@ class TestComputeVdw:
             # same algorithm, same tree: the node counts must match too
             assert py.stats.nodes == jit.stats.nodes, mode
 
-    # covers both modes; name and ids are kept from when only the default
-    # mode took workers
+    # a multi-worker canonical search must give the single-worker
+    # canonical certificate, which is the lexicographically first one
+    @pytest.mark.parametrize("r, k", [(2, 4), (3, 3)])
+    def test_parallel_matches_canonical(self, warm_engine, r, k):
+        canonical = compute_vdw(r, k, mode="canonical", workers=1)
+        assert canonical.status == "exact"
+        assert "".join(map(str, canonical.certificate.colors)) == LEX_FIRST[(r, k)]
+        for workers in (2, 4):
+            parallel = compute_vdw(r, k, mode="canonical", workers=workers)
+            assert (parallel.status, parallel.value) == (canonical.status, canonical.value)
+            assert parallel.certificate.colors == canonical.certificate.colors
+
     @pytest.mark.parametrize("r, k", [(2, 4), (3, 3)])
     def test_witness_proof_certificate_ignores_worker_count(self, warm_engine, r, k):
-        for mode in ("witness-proof", "canonical"):
-            one = compute_vdw(r, k, mode=mode, workers=1)
-            assert one.status == "exact", mode
-            for workers in (2, 4):
-                many = compute_vdw(r, k, mode=mode, workers=workers)
-                assert (many.status, many.value) == (one.status, one.value), mode
-                assert many.certificate.colors == one.certificate.colors, mode
+        one = compute_vdw(r, k, workers=1)
+        assert one.status == "exact"
+        for workers in (2, 4):
+            many = compute_vdw(r, k, workers=workers)
+            assert (many.status, many.value) == (one.status, one.value)
+            assert many.certificate.colors == one.certificate.colors
 
     @needs_compiler
     def test_compiled_engine_builds_no_reference_run(self, warm_engine, monkeypatch):
