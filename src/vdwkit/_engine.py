@@ -73,6 +73,23 @@ above the largest before it.  The cubes decide length T:
       is searched lowest-first.  The lexicographically least valid
       coloring is first-use, so it lies in a cube, and a coloring in an
       earlier cube would be smaller; so it is the first one found.
+  (4) With ORDER_MOST_BLOCKED, d is the least depth that gives at least
+      CUBE_PATTERNS and whose first d positions of middle_out(T) are
+      closed under the reflection i -> T-1-i: d odd for odd T, even for
+      even T.  Reflection maps the k-term progressions in 0..T-1 onto
+      themselves and relabeling colors keeps a progression monochromatic
+      or not, so a coloring is valid exactly when its reflected image,
+      relabeled, is.  As the d positions map onto themselves, a cube's
+      pattern reflected onto them and relabeled by first use along them
+      is another first-use pattern of depth d: the cube's partner.  A
+      valid coloring in a cube, reflected and relabeled the same way, is
+      a valid coloring in its partner.  Reflecting twice is the identity
+      and relabeling commutes with it, so partner is an involution: the
+      cubes fall into pairs and self-mirror singletons, and a cube holds
+      a valid coloring exactly when its partner does.  search_cubes keeps
+      cube i only when partner(i) >= i, one cube of each pair and every
+      singleton, so some kept cube holds a valid coloring exactly when
+      some cube does, and by (1) and (2) the kept cubes decide length T.
 
 Every mutation lands on a trail; undo walks the trail backwards.  On a
 conflict the propagation queue still drains its member-count updates so
@@ -445,13 +462,46 @@ def pattern_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
     """The cubes of length T as root assumptions: every first-use color
     pattern, in lexicographic order, on the first d positions of the
     branching order, where d (at most T) is the least depth that gives
-    at least CUBE_PATTERNS.  See the module docstring for soundness."""
+    at least CUBE_PATTERNS and, with ORDER_MOST_BLOCKED, has the parity
+    of T.  See the module docstring for soundness."""
     positions = range(T) if order == ORDER_LOWEST else middle_out(T)
+    # the first d middle-out positions are closed under reflection
+    # exactly when d has the parity of T
+    mirrored = order == ORDER_MOST_BLOCKED
     patterns: list[tuple[int, ...]] = [()]
-    while len(patterns) < CUBE_PATTERNS and len(patterns[0]) < T:
+    while len(patterns[0]) < T and (
+        len(patterns) < CUBE_PATTERNS or mirrored and (T - len(patterns[0])) % 2
+    ):
         patterns = [
             pattern + (c,)
             for pattern in patterns
             for c in range(min(max(pattern, default=-1) + 2, r))
         ]
     return [list(zip(positions, pattern)) for pattern in patterns]
+
+
+def mirror_partners(T: int, cubes) -> list[int]:
+    """For each cube of pattern_cubes(r, T, ORDER_MOST_BLOCKED), the index
+    of its partner: the pattern reflected (position p takes the color of
+    T-1-p) and relabeled by first use along the cube's positions."""
+    index = {tuple(c for _, c in cube): i for i, cube in enumerate(cubes)}
+    partners = []
+    for cube in cubes:
+        color = dict(cube)
+        relabel: dict[int, int] = {}
+        mirror = tuple(
+            relabel.setdefault(color[T - 1 - p], len(relabel)) for p, _ in cube
+        )
+        partners.append(index[mirror])
+    return partners
+
+
+def search_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
+    """The cubes a search of length T opens, in order: all of pattern_cubes
+    with ORDER_LOWEST; with ORDER_MOST_BLOCKED only the cubes whose
+    partner (mirror_partners) has an index no lower than their own."""
+    cubes = pattern_cubes(r, T, order)
+    if order == ORDER_LOWEST:
+        return cubes
+    partners = mirror_partners(T, cubes)
+    return [cube for i, cube in enumerate(cubes) if partners[i] >= i]

@@ -11,6 +11,7 @@ Colorings are 0-based here: positions 0..N-1, colors 0..r-1.
 """
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -24,8 +25,8 @@ from ._engine import (
     ST_EXHAUSTED,
     ST_FOUND,
     open_run,
-    pattern_cubes,
     resolve_engine,
+    search_cubes,
 )
 from .registry import SEARCH_DERIVED, VdwRecord
 
@@ -150,11 +151,13 @@ class SearchBudget:
 @dataclass(frozen=True)
 class SearchStats:
     """nodes counts decisions: one per opened cube, for its pattern, and
-    one per color tried inside it.  max_depth is the most positions ever
-    colored at once, conflicting assignments included.  On k = 3 the C
-    kernel's mask path reaches a conflict in fewer assignments, so its
-    max_depth can be below the Python reference's; engine agreement is
-    checked on verdict, certificate and nodes only."""
+    one per color tried inside it; a cube skipped as the mirror image of
+    a searched one (see search_cubes) is never opened and counts none.
+    max_depth is the most positions ever colored at once, conflicting
+    assignments included.  On k = 3 the C kernel's mask path reaches a
+    conflict in fewer assignments, so its max_depth can be below the
+    Python reference's; engine agreement is checked on verdict,
+    certificate and nodes only."""
 
     nodes: int
     elapsed: float
@@ -400,6 +403,18 @@ def _first_ap_ends(colors, r: int, k: int) -> list[int]:
 
 
 def power_residue_witness(r: int, k: int) -> list[int]:
+    """An ap-free coloring grown from tiled power-residue colorings (see
+    _grow_witness), built once per (r, k) in a process; each call
+    returns a fresh list."""
+    return list(_cached_witness(r, k))
+
+
+@functools.cache
+def _cached_witness(r: int, k: int) -> tuple[int, ...]:
+    return tuple(_grow_witness(r, k))
+
+
+def _grow_witness(r: int, k: int) -> list[int]:
     """An ap-free coloring grown from tiled power-residue colorings.
 
     For a prime p with r | p - 1 and a primitive root g, the residue
@@ -464,12 +479,13 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     """Search length T.  Returns (verdict, colors, nodes, max_depth) with
     verdict ST_FOUND, ST_EXHAUSTED, or None when the budget stopped it.
 
-    The length is cut into the cubes of pattern_cubes, which threads take
+    The length is cut into the cubes of search_cubes, which threads take
     in order.  A cube that finds a coloring makes the later ones moot; the
     earliest finding cube wins, so a search that runs to a verdict returns
-    the same coloring for any worker count.
+    the same coloring for any worker count.  The length is exhausted when
+    every cube of search_cubes is.
     """
-    cubes = pattern_cubes(r, T, order)
+    cubes = search_cubes(r, T, order)
     lock = threading.Lock()
     best_found = [len(cubes)]  # smallest cube index that found a coloring
     # (status, nodes, max_depth, colors) per opened cube; the run itself

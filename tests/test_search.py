@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from vdwkit import _engine
+from vdwkit import _engine, search
 from vdwkit._engine import (
     CUBE_PATTERNS,
     ORDER_LOWEST,
@@ -15,8 +15,10 @@ from vdwkit._engine import (
     ST_FOUND,
     compiled_library,
     middle_out,
+    mirror_partners,
     open_run,
     pattern_cubes,
+    search_cubes,
 )
 from vdwkit.registry import USER_SUPPLIED, Registry, RegistryConflictError, VdwRecord
 from vdwkit.search import (
@@ -198,6 +200,28 @@ class TestComputeVdw:
             outcome = compute_vdw(3, 3, mode=mode, engine=engine)
             assert (outcome.status, outcome.value) == ("exact", 27)
 
+    def test_witness_is_built_once_per_pair(self, monkeypatch):
+        calls = []
+        grow = search._grow_witness
+
+        def counting(r, k):
+            calls.append((r, k))
+            return grow(r, k)
+
+        monkeypatch.setattr(search, "_grow_witness", counting)
+        search._cached_witness.cache_clear()
+        try:
+            first = compute_vdw(2, 3, engine="python")
+            second = compute_vdw(2, 3, engine="python")
+            # every call hands out its own list
+            handed = search.power_residue_witness(2, 3)
+            handed.append(1)
+            assert search.power_residue_witness(2, 3) == handed[:-1]
+        finally:
+            search._cached_witness.cache_clear()
+        assert calls == [(2, 3)]
+        assert first.certificate == second.certificate
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             compute_vdw(1, 3)
@@ -239,10 +263,12 @@ class TestKernelSoundness:
                     if satisfiable:
                         cert = Certificate(r, k, T, Coloring(r, tuple(run.coloring())))
                         assert verify_certificate(cert)
-                    # the cubes, searched in order up to the first that
-                    # finds a coloring, decide the same length
+                    # the cubes a search opens, searched in order up to
+                    # the first that finds a coloring, decide the same
+                    # length; with ORDER_MOST_BLOCKED that leaves out the
+                    # mirror images
                     found = None
-                    for cube in pattern_cubes(r, T, order):
+                    for cube in search_cubes(r, T, order):
                         run = open_run(engine, r, k, T, order, cube)
                         if run.step(1 << 40) == ST_FOUND:
                             found = run.coloring()
@@ -251,26 +277,54 @@ class TestKernelSoundness:
                     if order == ORDER_LOWEST:
                         assert found == reference, where
 
-    @pytest.mark.parametrize("r, T", [(2, 3), (2, 35), (3, 27), (4, 76)])
+    @pytest.mark.parametrize("r, T", [(2, 3), (2, 35), (3, 27), (4, 76), (2, 178)])
     def test_cubes_are_the_first_use_patterns(self, r, T):
+        def first_use(d):
+            return [
+                pattern
+                for pattern in itertools.product(range(r), repeat=d)
+                if all(c <= max(pattern[:i], default=-1) + 1
+                       for i, c in enumerate(pattern))
+            ]
+
+        def closed(positions):
+            return {T - 1 - p for p in positions} == set(positions)
+
         for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
             cubes = pattern_cubes(r, T, order)
             depth = len(cubes[0])
             positions = list(range(T)) if order == ORDER_LOWEST else middle_out(T)
             assert all([p for p, _ in cube] == positions[:depth] for cube in cubes)
-
-            def first_use(d):
-                return [
-                    pattern
-                    for pattern in itertools.product(range(r), repeat=d)
-                    if all(c <= max(pattern[:i], default=-1) + 1
-                           for i, c in enumerate(pattern))
-                ]
-
+            patterns = [tuple(c for _, c in cube) for cube in cubes]
             # lexicographic order, and the least depth with enough cubes
-            assert [tuple(c for _, c in cube) for cube in cubes] == first_use(depth)
+            assert patterns == first_use(depth)
             assert len(cubes) >= CUBE_PATTERNS or depth == T
-            assert len(first_use(depth - 1)) < CUBE_PATTERNS
+            if order == ORDER_LOWEST:
+                assert len(first_use(depth - 1)) < CUBE_PATTERNS
+                assert search_cubes(r, T, order) == cubes
+                continue
+            # under ORDER_MOST_BLOCKED also the least such depth whose
+            # positions reflection maps onto themselves
+            assert closed(positions[:depth])
+            assert all(
+                len(first_use(d)) < CUBE_PATTERNS or not closed(positions[:d])
+                for d in range(depth)
+            )
+            # the partner of each cube is its pattern reflected and then
+            # relabeled by first appearance, and partnering is an involution
+            partners = mirror_partners(T, cubes)
+            for i, pattern in enumerate(patterns):
+                line = [-1] * T
+                for p, c in zip(positions, pattern):
+                    line[p] = c
+                mirror = [line[T - 1 - p] for p in positions[:depth]]
+                seen = sorted(set(mirror), key=mirror.index)
+                relabeled = tuple(seen.index(c) for c in mirror)
+                assert partners[i] == patterns.index(relabeled)
+                assert partners[partners[i]] == i
+            assert search_cubes(r, T, order) == [
+                cube for i, cube in enumerate(cubes) if partners[i] >= i
+            ]
 
 
 class TestBudgets:
