@@ -4,14 +4,14 @@ One kernel run answers a single question: does a valid r-coloring of
 positions 0..T-1 exist, and if so, which one does the depth-first search
 reach first?  The kernel is resumable; it pauses after a caller-chosen
 number of decisions so the orchestration layer can enforce wall-clock
-and node budgets between chunks without the kernel ever reading a clock.
+and node budgets between steps without the kernel ever reading a clock.
 
 Two engines implement the same rules:
   "jit"     _kernel.c, compiled on first use with the system C compiler
             (CC, else cc) into a cache directory keyed by a hash of the
             source, and loaded with ctypes.  ctypes releases the GIL, so
             runs in different threads overlap.
-  "python"  _kernel_impl below, the plain reference.  Tests require both
+  "python"  PythonRun below, the plain reference.  Tests require both
             engines to return the same verdicts, colorings and node
             counts.
 If the compiled kernel cannot be built or loaded, resolve_engine says so
@@ -59,7 +59,7 @@ lexicographically no larger one that the cap admits).
 
 Root assumptions: a run may start from a list of (position, color)
 pairs, assigned and propagated in order before the first decision; a
-conflict among them makes the run exhausted at once.  pattern_cubes
+conflict among them makes the run exhausted at once.  search_cubes
 uses them to cut length T into cubes, each fixing the first d positions
 of the branching order (0, 1, ... for ORDER_LOWEST, middle_out(T) for
 ORDER_MOST_BLOCKED) to one first-use pattern: each color at most one
@@ -79,17 +79,19 @@ above the largest before it.  The cubes decide length T:
       even T.  Reflection maps the k-term progressions in 0..T-1 onto
       themselves and relabeling colors keeps a progression monochromatic
       or not, so a coloring is valid exactly when its reflected image,
-      relabeled, is.  As the d positions map onto themselves, a cube's
-      pattern reflected onto them and relabeled by first use along them
-      is another first-use pattern of depth d: the cube's partner.  A
-      valid coloring in a cube, reflected and relabeled the same way, is
-      a valid coloring in its partner.  Reflecting twice is the identity
-      and relabeling commutes with it, so partner is an involution: the
-      cubes fall into pairs and self-mirror singletons, and a cube holds
-      a valid coloring exactly when its partner does.  search_cubes keeps
-      cube i only when partner(i) >= i, one cube of each pair and every
-      singleton, so some kept cube holds a valid coloring exactly when
-      some cube does, and by (1) and (2) the kept cubes decide length T.
+      relabeled, is.  As the d positions map onto themselves, a pattern
+      reflected onto them and relabeled by first use along them is
+      another first-use pattern of depth d: its mirror.  A valid coloring
+      in a cube, reflected and relabeled the same way, is a valid
+      coloring in the cube of the mirror.  Reflecting twice is the
+      identity and relabeling commutes with it, so mirroring is an
+      involution: the patterns fall into pairs and self-mirror
+      singletons, and a cube holds a valid coloring exactly when the cube
+      of its mirror does.  search_cubes keeps a pattern exactly when
+      mirror >= pattern as tuples, the lexicographically lesser of each
+      pair and every singleton, so some kept cube holds a valid coloring
+      exactly when some cube does, and by (1) and (2) the kept cubes
+      decide length T.
 
 Every mutation lands on a trail; undo walks the trail backwards.  On a
 conflict the propagation queue still drains its member-count updates so
@@ -120,7 +122,7 @@ ORDER_MOST_BLOCKED = 1
 
 ENGINES = ("jit", "python")
 
-# pattern_cubes cuts each length into at least this many cubes: enough to
+# search_cubes cuts each length into at least this many cubes: enough to
 # keep a few workers busy and each cube small, few enough to open cheaply
 CUBE_PATTERNS = 16
 
@@ -268,53 +270,49 @@ class PythonRun:
         return best
 
     def step(self, node_quota: int) -> int:
-        return _kernel_impl(self, node_quota)
+        """Run until FOUND, EXHAUSTED, or node_quota more decisions."""
+        if self.status in (ST_FOUND, ST_EXHAUSTED):
+            return self.status
+        r = self.r
+        dec_pos, dec_color = self.dec_pos, self.dec_color
+        dec_maxused, dec_mark = self.dec_maxused, self.dec_mark
+        blkcnt = self.blkcnt
+        nodes = 0
+        while True:
+            if nodes >= node_quota:
+                status = ST_PAUSED
+                break
+            d = self.depth
+            self._undo(dec_mark[d])
+            maxused = dec_maxused[d]
+            p = dec_pos[d]
+            cmax = min(maxused + 1, r - 1)
+            blocked = blkcnt[p]
+            c = dec_color[d] + 1
+            while c <= cmax and blocked[c] > 0:
+                c += 1
+            if c > cmax:
+                self.depth = d - 1
+                if d == 0:
+                    status = ST_EXHAUSTED
+                    break
+                continue
+            dec_color[d] = c
+            nodes += 1
+            self.maxused = maxused
+            if not self._propagate(p, c):
+                continue
+            q = self._select()
+            if q < 0:
+                status = ST_FOUND
+                break
+            self._open_frame(d + 1, q)
+        self.nodes += nodes
+        self.status = status
+        return status
 
     def coloring(self) -> list[int]:
         return list(self.col)
-
-
-def _kernel_impl(run: PythonRun, node_quota: int) -> int:
-    """Run until FOUND, EXHAUSTED, or node_quota more decisions."""
-    if run.status in (ST_FOUND, ST_EXHAUSTED):
-        return run.status
-    r = run.r
-    dec_pos, dec_color = run.dec_pos, run.dec_color
-    dec_maxused, dec_mark = run.dec_maxused, run.dec_mark
-    blkcnt = run.blkcnt
-    nodes = 0
-    while True:
-        if nodes >= node_quota:
-            status = ST_PAUSED
-            break
-        d = run.depth
-        run._undo(dec_mark[d])
-        maxused = dec_maxused[d]
-        p = dec_pos[d]
-        cmax = min(maxused + 1, r - 1)
-        blocked = blkcnt[p]
-        c = dec_color[d] + 1
-        while c <= cmax and blocked[c] > 0:
-            c += 1
-        if c > cmax:
-            run.depth = d - 1
-            if d == 0:
-                status = ST_EXHAUSTED
-                break
-            continue
-        dec_color[d] = c
-        nodes += 1
-        run.maxused = maxused
-        if not run._propagate(p, c):
-            continue
-        q = run._select()
-        if q < 0:
-            status = ST_FOUND
-            break
-        run._open_frame(d + 1, q)
-    run.nodes += nodes
-    run.status = status
-    return status
 
 
 class CompiledRun:
@@ -458,12 +456,16 @@ def open_run(engine: str, r: int, k: int, T: int, order: int, assumptions=()):
     return PythonRun(r, k, T, order, assumptions)
 
 
-def pattern_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
-    """The cubes of length T as root assumptions: every first-use color
-    pattern, in lexicographic order, on the first d positions of the
-    branching order, where d (at most T) is the least depth that gives
-    at least CUBE_PATTERNS and, with ORDER_MOST_BLOCKED, has the parity
-    of T.  See the module docstring for soundness."""
+def search_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
+    """The cubes a search of length T opens, in order, as root assumptions:
+    the first-use color patterns, in lexicographic order, on the first d
+    positions of the branching order, where d (at most T) is the least
+    depth that gives at least CUBE_PATTERNS and, with ORDER_MOST_BLOCKED,
+    has the parity of T.  ORDER_LOWEST keeps every pattern;
+    ORDER_MOST_BLOCKED keeps a pattern only when its mirror (reflected,
+    position p taking the color of T-1-p, then relabeled by first use)
+    is not lexicographically smaller.  See the module docstring for
+    soundness."""
     positions = range(T) if order == ORDER_LOWEST else middle_out(T)
     # the first d middle-out positions are closed under reflection
     # exactly when d has the parity of T
@@ -477,31 +479,16 @@ def pattern_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
             for pattern in patterns
             for c in range(min(max(pattern, default=-1) + 2, r))
         ]
-    return [list(zip(positions, pattern)) for pattern in patterns]
-
-
-def mirror_partners(T: int, cubes) -> list[int]:
-    """For each cube of pattern_cubes(r, T, ORDER_MOST_BLOCKED), the index
-    of its partner: the pattern reflected (position p takes the color of
-    T-1-p) and relabeled by first use along the cube's positions."""
-    index = {tuple(c for _, c in cube): i for i, cube in enumerate(cubes)}
-    partners = []
-    for cube in cubes:
-        color = dict(cube)
-        relabel: dict[int, int] = {}
-        mirror = tuple(
-            relabel.setdefault(color[T - 1 - p], len(relabel)) for p, _ in cube
-        )
-        partners.append(index[mirror])
-    return partners
-
-
-def search_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
-    """The cubes a search of length T opens, in order: all of pattern_cubes
-    with ORDER_LOWEST; with ORDER_MOST_BLOCKED only the cubes whose
-    partner (mirror_partners) has an index no lower than their own."""
-    cubes = pattern_cubes(r, T, order)
-    if order == ORDER_LOWEST:
-        return cubes
-    partners = mirror_partners(T, cubes)
-    return [cube for i, cube in enumerate(cubes) if partners[i] >= i]
+    cubes = []
+    for pattern in patterns:
+        cube = list(zip(positions, pattern))
+        if mirrored:
+            color = dict(cube)
+            relabel: dict[int, int] = {}
+            mirror = tuple(
+                relabel.setdefault(color[T - 1 - p], len(relabel)) for p, _ in cube
+            )
+            if mirror < pattern:
+                continue
+        cubes.append(cube)
+    return cubes

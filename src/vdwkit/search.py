@@ -38,11 +38,13 @@ MODE_WITNESS_PROOF = "witness-proof"
 MODE_CANONICAL = "canonical"
 MODES = (MODE_WITNESS_PROOF, MODE_CANONICAL)
 
-# chunk sizing for the resumable kernel: aim for ~0.2s between budget
-# checks regardless of engine speed
-_CHUNK_MIN = 1024
-_CHUNK_MAX = 1 << 18
-_CHUNK_SECONDS = 0.2
+# decisions per kernel step; the deadline, the node pool and moot cubes
+# are checked between steps.  On the compiled kernel 1024 decisions take
+# from 0.4 ms (W(4,3) at length 76) to 25 ms (W(2,6) at length 697), so a
+# budget stops within tens of milliseconds while the per-step overhead
+# stays near 1% on the fastest path; the Python reference can need
+# seconds for them at long lengths
+_STEP = 1024
 
 # power_residue_witness tries primes below this; it covers the p = 37
 # (W(4,3), W(2,5)) and p = 139 (W(2,6)) constructions in about 0.1 s
@@ -151,8 +153,10 @@ class SearchBudget:
 @dataclass(frozen=True)
 class SearchStats:
     """nodes counts decisions: one per opened cube, for its pattern, and
-    one per color tried inside it; a cube skipped as the mirror image of
-    a searched one (see search_cubes) is never opened and counts none.
+    one per color tried inside it.  Both come from a node budget's pool,
+    the pattern node before the cube is opened, so nodes never exceeds
+    max_nodes.  A cube that search_cubes leaves out as the mirror image
+    of a kept one is never opened and counts none.
     max_depth is the most positions ever colored at once, conflicting
     assignments included.  On k = 3 the C kernel's mask path reaches a
     conflict in fewer assignments, so its max_depth can be below the
@@ -311,10 +315,6 @@ class _Budget:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.perf_counter() >= self.deadline
 
-    def spent(self) -> bool:
-        """True once the deadline has passed or the node pool is dry."""
-        return self.out_of_time() or self._pool == 0
-
     def draw(self, want: int) -> int:
         """Reserve up to want nodes; 0 means the pool is dry."""
         if self._pool is None:
@@ -331,33 +331,23 @@ class _Budget:
             self._pool += unused
 
 
-def _next_chunk(prev: int, dt: float) -> int:
-    if dt <= 0:
-        return _CHUNK_MAX
-    rate = prev / dt
-    return max(_CHUNK_MIN, min(_CHUNK_MAX, int(rate * _CHUNK_SECONDS)))
-
-
 def _run_single(run, budget: _Budget, should_abort):
-    """Drive one kernel run in chunks until a verdict or the budget dies.
+    """Drive one kernel run _STEP decisions at a time until a verdict or
+    the budget dies.
 
     Returns ST_FOUND, ST_EXHAUSTED, or None for an undecided stop.
     """
-    chunk = 4096
     while True:
         if budget.out_of_time() or should_abort():
             return None
-        quota = budget.draw(chunk)
+        quota = budget.draw(_STEP)
         if quota <= 0:
             return None
         before = run.nodes
-        t0 = time.perf_counter()
         status = run.step(quota)
-        dt = time.perf_counter() - t0
         budget.refund(quota - (run.nodes - before))
         if status == ST_FOUND or status == ST_EXHAUSTED:
             return status
-        chunk = _next_chunk(quota, dt)
 
 
 def _primes_below(n: int) -> list[int]:
@@ -497,7 +487,9 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
             return best_found[0] < idx
 
     def task(idx: int) -> None:
-        if moot(idx) or budget.spent():
+        # the cube's pattern node comes from the pool, so a node budget
+        # caps the reported nodes
+        if moot(idx) or budget.out_of_time() or not budget.draw(1):
             return
         run = open_run(engine, r, k, T, order, cubes[idx])
         status = _run_single(run, budget, should_abort=lambda: moot(idx))
@@ -544,7 +536,7 @@ def compute_vdw(
     all-zero coloring of length k-1 and branches lowest-first, and its
     certificate is the lexicographically least valid coloring of its
     length.  In both modes each length is cut into the same cubes
-    (pattern_cubes) whatever the worker count, so certificates are
+    (search_cubes) whatever the worker count, so certificates are
     deterministic: the same for either engine and any worker count.
 
     workers defaults to the CPU count; the Python engine always uses one
@@ -560,6 +552,14 @@ def compute_vdw(
         raise ValueError(f"unknown mode {mode!r}")
     if max_length is not None and max_length < k:
         raise ValueError(f"max_length {max_length} below the shortest target {k}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got workers={workers}")
+    budget = budget or SearchBudget()
+    for name in ("max_seconds", "max_nodes"):
+        limit = getattr(budget, name)
+        # not >= also rejects a NaN time budget, which would never expire
+        if limit is not None and not limit >= 0:
+            raise ValueError(f"{name} must be a number >= 0, got {name}={limit}")
     engine = resolve_engine(engine)
     if engine == "python":
         workers = 1
@@ -567,7 +567,6 @@ def compute_vdw(
         workers = os.cpu_count() or 1
     order = ORDER_MOST_BLOCKED if mode == MODE_WITNESS_PROOF else ORDER_LOWEST
 
-    budget = budget or SearchBudget()
     start = time.perf_counter()
     tracker = _Budget(budget, start)
 

@@ -229,6 +229,19 @@ class TestSearchCommand:
         code, _, err = run(capsys, "search", "--r", "1", "--k", "3")
         assert code == 2 and "r=1" in err
 
+    @pytest.mark.parametrize(
+        "extra, fragment",
+        [
+            (("--workers", "0"), "workers=0"),
+            (("--workers", "0", "--engine", "python"), "workers=0"),
+            (("--max-nodes", "-1"), "max_nodes=-1"),
+            (("--max-seconds", "-2"), "max_seconds=-2"),
+        ],
+    )
+    def test_bad_search_argument_is_a_usage_error(self, capsys, extra, fragment):
+        code, _, err = run(capsys, "search", "--r", "2", "--k", "3", *extra)
+        assert code == 2 and fragment in err
+
     def test_canonical_mode_is_selectable(self, capsys):
         code, out, _ = run(
             capsys, "search", "--r", "2", "--k", "3", "--mode", "canonical",

@@ -15,9 +15,7 @@ from vdwkit._engine import (
     ST_FOUND,
     compiled_library,
     middle_out,
-    mirror_partners,
     open_run,
-    pattern_cubes,
     search_cubes,
 )
 from vdwkit.registry import USER_SUPPLIED, Registry, RegistryConflictError, VdwRecord
@@ -231,6 +229,13 @@ class TestComputeVdw:
             compute_vdw(2, 3, mode="sideways")
         with pytest.raises(ValueError, match="max_length"):
             compute_vdw(2, 4, max_length=3)
+        for engine in ("jit", "python"):
+            with pytest.raises(ValueError, match="workers"):
+                compute_vdw(2, 3, workers=0, engine=engine)
+        with pytest.raises(ValueError, match="max_nodes"):
+            compute_vdw(2, 3, SearchBudget(max_nodes=-1))
+        with pytest.raises(ValueError, match="max_seconds"):
+            compute_vdw(2, 3, SearchBudget(max_seconds=-2.0))
 
 
 class TestKernelSoundness:
@@ -290,40 +295,44 @@ class TestKernelSoundness:
         def closed(positions):
             return {T - 1 - p for p in positions} == set(positions)
 
+        def mirror(pattern, positions):
+            # reflect (position p takes the color of T-1-p), then relabel
+            # by first appearance along the cube positions
+            line = [-1] * T
+            for p, c in zip(positions, pattern):
+                line[p] = c
+            image = [line[T - 1 - p] for p in positions]
+            seen = sorted(set(image), key=image.index)
+            return tuple(seen.index(c) for c in image)
+
         for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
-            cubes = pattern_cubes(r, T, order)
+            cubes = search_cubes(r, T, order)
             depth = len(cubes[0])
             positions = list(range(T)) if order == ORDER_LOWEST else middle_out(T)
             assert all([p for p, _ in cube] == positions[:depth] for cube in cubes)
             patterns = [tuple(c for _, c in cube) for cube in cubes]
-            # lexicographic order, and the least depth with enough cubes
-            assert patterns == first_use(depth)
-            assert len(cubes) >= CUBE_PATTERNS or depth == T
+            assert patterns == sorted(patterns)
+            every = first_use(depth)
+            assert len(every) >= CUBE_PATTERNS or depth == T
             if order == ORDER_LOWEST:
+                # every pattern, at the least depth with enough of them
+                assert patterns == every
                 assert len(first_use(depth - 1)) < CUBE_PATTERNS
-                assert search_cubes(r, T, order) == cubes
                 continue
-            # under ORDER_MOST_BLOCKED also the least such depth whose
-            # positions reflection maps onto themselves
+            # under ORDER_MOST_BLOCKED the least depth with enough patterns
+            # whose positions reflection maps onto themselves
             assert closed(positions[:depth])
             assert all(
                 len(first_use(d)) < CUBE_PATTERNS or not closed(positions[:d])
                 for d in range(depth)
             )
-            # the partner of each cube is its pattern reflected and then
-            # relabeled by first appearance, and partnering is an involution
-            partners = mirror_partners(T, cubes)
-            for i, pattern in enumerate(patterns):
-                line = [-1] * T
-                for p, c in zip(positions, pattern):
-                    line[p] = c
-                mirror = [line[T - 1 - p] for p in positions[:depth]]
-                seen = sorted(set(mirror), key=mirror.index)
-                relabeled = tuple(seen.index(c) for c in mirror)
-                assert partners[i] == patterns.index(relabeled)
-                assert partners[partners[i]] == i
-            assert search_cubes(r, T, order) == [
-                cube for i, cube in enumerate(cubes) if partners[i] >= i
+            # mirroring is an involution on the patterns, and the kept ones
+            # are those whose mirror is no smaller: one of each pair and
+            # every self-mirror pattern
+            cut = positions[:depth]
+            assert all(mirror(mirror(pattern, cut), cut) == pattern for pattern in every)
+            assert patterns == [
+                pattern for pattern in every if mirror(pattern, cut) >= pattern
             ]
 
 
@@ -334,6 +343,14 @@ class TestBudgets:
         assert outcome.value == outcome.certificate.length + 1
         assert outcome.value <= 1132
         assert verify_certificate(outcome.certificate)
+        # every node, each cube's pattern node included, comes from the pool
+        assert outcome.stats.nodes <= 20000
+
+    @needs_compiler
+    def test_time_budget_stops_close_to_its_limit(self, warm_engine):
+        outcome = compute_vdw(2, 6, SearchBudget(max_seconds=0.5), engine=compiled_engine())
+        assert outcome.status == "budget-exhausted"
+        assert outcome.stats.elapsed < 0.6
 
     def test_zero_second_budget_still_answers(self):
         outcome = compute_vdw(2, 5, SearchBudget(max_seconds=0.0), engine="python")
