@@ -9,8 +9,8 @@ and node budgets between steps without the kernel ever reading a clock.
 Two engines implement the same rules:
   "jit"     _kernel.c, compiled on first use with the system C compiler
             (CC, else cc) into a cache directory keyed by a hash of the
-            source, and loaded with ctypes.  ctypes releases the GIL, so
-            runs in different threads overlap.
+            source and the compile flags, and loaded with ctypes.  ctypes
+            releases the GIL, so runs in different threads overlap.
   "python"  PythonRun below, the plain reference.  Tests require both
             engines to return the same verdicts, colorings and node
             counts.
@@ -127,6 +127,8 @@ ENGINES = ("jit", "python")
 CUBE_PATTERNS = 16
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
+# the kernel's compile flags, fixed; _library_name hashes them
+_CFLAGS = ("-O3", "-shared", "-fPIC")
 
 
 def middle_out(T: int) -> list[int]:
@@ -358,8 +360,21 @@ def _cache_dir() -> Path:
     return (Path(xdg) if xdg else Path.home() / ".cache") / "vdwkit"
 
 
+def _compiler() -> str | None:
+    return os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+
+
+def _library_name(source: bytes, flags: tuple[str, ...] = _CFLAGS) -> str:
+    """The cached library's file name: a hash of the source together with
+    the flags it is compiled with, so that a change to either rebuilds."""
+    key = hashlib.sha256(source)
+    for flag in flags:
+        key.update(b"\0" + flag.encode())
+    return f"kernel-{key.hexdigest()[:16]}.so"
+
+
 def _build_library(source: bytes, target: Path) -> None:
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+    compiler = _compiler()
     if not compiler:
         raise OSError("no C compiler found (set CC or install cc)")
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -370,7 +385,7 @@ def _build_library(source: bytes, target: Path) -> None:
             src = Path(work) / _SOURCE.name
             src.write_bytes(source)
             proc = subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC", "-o", tmp, str(src)],
+                [compiler, *_CFLAGS, "-o", tmp, str(src)],
                 capture_output=True,
                 text=True,
             )
@@ -383,7 +398,7 @@ def _build_library(source: bytes, target: Path) -> None:
 
 
 def _load_library(source: bytes, directory: Path):
-    target = directory / f"kernel-{hashlib.sha256(source).hexdigest()[:16]}.so"
+    target = directory / _library_name(source)
     if not target.exists():
         _build_library(source, target)
     return ctypes.CDLL(str(target))

@@ -10,9 +10,36 @@
  * search tree:
  *   counters  any k: per-progression colour counts and per-position
  *             blocked-colour counts, undone through a trail;
- *   masks     k = 3 and T <= 128: one 128-bit mask of coloured
- *             positions and one of blocked positions per colour, saved
- *             whole at every decision level instead of trailed.
+ *   masks     k = 3 and T <= 128: 128-bit masks, saved whole at every
+ *             decision level instead of trailed.  A frame holds 7r+1
+ *             masks: per colour c the set M of positions coloured c, the
+ *             set B of positions where c is blocked, and four masks
+ *             derived from M (reflection: bit 127-q for each q in M;
+ *             dilation: bit 2q, over two words; even halving: bit q/2
+ *             for even q; odd halving: bit (q-1)/2 for odd q); then the
+ *             set of free positions.
+ *
+ * Assigning p := c on the mask path blocks c at every position x that
+ * forms a 3-term progression with p and some q in M[c].  p plays one of
+ * three roles in {p, q, x}: the first or last term, so x = 2p-q; the
+ * middle, so x = 2q-p; or x is the middle, so x = (p+q)/2 with p+q even.
+ * Each role is one shift of one derived mask:
+ *   2p-q      reflection shifted left by 2p-127 (right by 127-2p), which
+ *             moves bit 127-q to bit 2p-q and drops the negative ones;
+ *   2q-p      the two dilation words shifted right by p as one 256-bit
+ *             value, keeping the low word, where every x < T lies;
+ *   (p+q)/2   for even p the even halving shifted left by p/2, for odd p
+ *             the odd halving shifted left by (p+1)/2: q/2 + p/2 and
+ *             (q-1)/2 + (p+1)/2 are both (p+q)/2, and q of the other
+ *             parity gives no integer middle.
+ * ANDed with the T positions, their OR is exactly the union over q in
+ * M[c] of {2p-q, 2q-p, (p+q)/2} clipped to [0, T): the positions where
+ * c now completes a progression.  That costs a fixed number of mask
+ * operations per assignment, whatever the size of M[c].  B[c] is the
+ * union of those sets over all assignments of c, so a free position
+ * completes a monochromatic progression in c exactly when its bit in
+ * B[c] is set, and that one test rejects an assignment.  The counts of
+ * blocked colours that end a propagation also choose the next position.
  */
 #include <stdlib.h>
 #include <string.h>
@@ -40,8 +67,8 @@ typedef struct {
     int *cnt, *blkcnt, *nblocked;
     int *trail_kind, *trail_pos, *trail_col, trail_top;
     int *qpos, *qcol;
-    /* mask path: cur holds M[0..r-1], B[0..r-1], free */
-    mask_t *third, *cur, *saved, *ge;
+    /* mask path: cur holds one frame (see F_*), all the T-position mask */
+    mask_t *cur, *saved, *ge, all;
 } run_t;
 
 static int ctz128(mask_t m)
@@ -58,12 +85,6 @@ static int top128(mask_t m)
     if (hi)
         return 127 - __builtin_clzll(hi);
     return 63 - __builtin_clzll((unsigned long long)m);
-}
-
-static int popcount128(mask_t m)
-{
-    return __builtin_popcountll((unsigned long long)m)
-         + __builtin_popcountll((unsigned long long)(m >> 64));
 }
 
 /* ---- counter path ---------------------------------------------------- */
@@ -171,67 +192,102 @@ static int c_select(run_t *s)
 
 /* ---- mask path ------------------------------------------------------- */
 
-/* ge[j] := positions with at least j blocked colours, for j = 1..top */
-static void m_count_blocked(run_t *s, int top)
+/* The frame: block b, colour c at s->cur[b * r + c], free at F_BLOCKS * r */
+enum { F_M, F_B, F_REFL, F_DIL_LO, F_DIL_HI, F_HALF_EVEN, F_HALF_ODD, F_BLOCKS };
+
+/* ge[j] := positions with at least j of the r colours blocked in B, for
+ * j = 1..r; ge[0] is every position */
+static inline __attribute__((always_inline)) void
+count_blocked_r(const mask_t *B, const int r, mask_t *ge)
 {
-    const mask_t *B = s->cur + s->r;
-    mask_t *ge = s->ge;
     ge[0] = ~(mask_t)0;
-    for (int j = 1; j <= top; j++)
+    for (int j = 1; j <= r; j++)
         ge[j] = 0;
-    for (int c = 0; c < s->r; c++)
-        for (int j = c + 1 < top ? c + 1 : top; j >= 1; j--)
+    for (int c = 0; c < r; c++)
+        for (int j = c + 1; j >= 1; j--)
             ge[j] |= ge[j - 1] & B[c];
+}
+
+/* count_blocked_r with a constant r where it pays, so its loops unroll */
+static void m_count_blocked(const mask_t *B, int r, mask_t *ge)
+{
+    switch (r) {
+    case 2:
+        count_blocked_r(B, 2, ge);
+        break;
+    case 3:
+        count_blocked_r(B, 3, ge);
+        break;
+    case 4:
+        count_blocked_r(B, 4, ge);
+        break;
+    default:
+        count_blocked_r(B, r, ge);
+    }
 }
 
 static int m_assign(run_t *s, int p, int c)
 {
     int r = s->r;
-    mask_t *M = s->cur, *B = s->cur + r, *freem = s->cur + 2 * r;
+    mask_t *f = s->cur;
     mask_t bit = (mask_t)1 << p;
-    int n = s->T - popcount128(*freem) + 1;
+    int n = s->nassigned + 1;
     if (n > s->maxdepth)
         s->maxdepth = n;
     if (c > s->maxused)
         s->maxused = c;
-    if (B[c] & bit)
+    if (f[F_B * r + c] & bit)
         return 0;
-    mask_t acc = 0, m = M[c];
-    const mask_t *row = s->third + (size_t)p * s->T;
-    while (m) {
-        acc |= row[ctz128(m)];
-        m &= m - 1;
-    }
-    if (acc & M[c])
-        return 0;
-    B[c] |= acc;
-    M[c] |= bit;
-    *freem &= ~bit;
+    mask_t *refl = f + F_REFL * r + c, *dlo = f + F_DIL_LO * r + c,
+           *dhi = f + F_DIL_HI * r + c, *half = f + F_HALF_EVEN * r + c,
+           *half_odd = f + F_HALF_ODD * r + c;
+    /* 2p-q from bit 127-q, 2q-p from bit 2q, (p+q)/2 from bit q/2 or
+     * (q-1)/2 of the halving with p's parity */
+    mask_t blocks = (2 * p > 127 ? *refl << (2 * p - 127) : *refl >> (127 - 2 * p))
+                  | *dlo >> p | (*dhi << 1) << (127 - p)
+                  | (p & 1 ? *half_odd << ((p + 1) / 2) : *half << (p / 2));
+    f[F_B * r + c] |= blocks & s->all;
+    f[F_M * r + c] |= bit;
+    *refl |= (mask_t)1 << (127 - p);
+    if (p < 64)
+        *dlo |= (mask_t)1 << (2 * p);
+    else
+        *dhi |= (mask_t)1 << (2 * p - 128);
+    if (p & 1)
+        *half_odd |= (mask_t)1 << ((p - 1) / 2);
+    else
+        *half |= (mask_t)1 << (p / 2);
+    f[F_BLOCKS * r] &= ~bit;
+    s->nassigned = n;
     return 1;
 }
 
+/* Assign p := c and propagate to a fixpoint; 0 on a conflict.  Each
+ * round assigns every position the last count found forced, then counts
+ * again.  At a fixpoint s->ge holds the counts m_select reads. */
 static int m_propagate(run_t *s, int p, int c)
 {
     int r = s->r;
-    const mask_t *B = s->cur + r;
-    if (!m_assign(s, p, c))
-        return 0;
+    const mask_t *B = s->cur + F_B * r;
+    mask_t *ge = s->ge, forced = 0;
     for (;;) {
-        mask_t freem = s->cur[2 * r];
-        m_count_blocked(s, r);
-        if (s->ge[r] & freem)
+        if (!m_assign(s, p, c))
             return 0;
-        mask_t forced = s->ge[r - 1] & freem;
-        if (!forced)
-            return 1;
-        while (forced) {
-            int x = ctz128(forced), f = 0;
-            forced &= forced - 1;
-            while (f < r && ((B[f] >> x) & 1))
-                f++;
-            if (f == r || !m_assign(s, x, f))
+        if (!forced) {
+            mask_t freem = s->cur[F_BLOCKS * r];
+            m_count_blocked(B, r, ge);
+            if (ge[r] & freem)
                 return 0;
+            forced = ge[r - 1] & freem;
+            if (!forced)
+                return 1;
         }
+        p = ctz128(forced);
+        forced &= forced - 1;
+        for (c = 0; c < r && ((B[c] >> p) & 1); c++)
+            ;
+        if (c == r)
+            return 0;
     }
 }
 
@@ -251,23 +307,21 @@ static int m_midout_first(mask_t cand, int T)
     return 2 * xh - (T - 1) < (T - 1) - 2 * xl ? xh : xl;
 }
 
+/* reads the ge masks the last m_propagate left at its fixpoint */
 static int m_select(run_t *s)
 {
     int r = s->r;
-    mask_t freem = s->cur[2 * r];
+    mask_t freem = s->cur[F_BLOCKS * r];
     if (!freem)
         return -1;
     if (s->order == ORDER_LOWEST)
         return ctz128(freem);
     mask_t cand = freem;
-    if (r > 2) {
-        m_count_blocked(s, r - 2);
-        for (int j = r - 2; j >= 1; j--)
-            if (s->ge[j] & freem) {
-                cand = s->ge[j] & freem;
-                break;
-            }
-    }
+    for (int j = r - 2; j >= 1; j--)
+        if (s->ge[j] & freem) {
+            cand = s->ge[j] & freem;
+            break;
+        }
     return m_midout_first(cand, s->T);
 }
 
@@ -300,22 +354,28 @@ static int select_position(run_t *s)
     return s->masks ? m_select(s) : c_select(s);
 }
 
+/* the mask path keeps its assigned count in dec_mark, the counter path
+ * its trail mark */
 static void save_frame(run_t *s, int d)
 {
-    size_t w = 2 * (size_t)s->r + 1;
-    if (s->masks)
+    size_t w = F_BLOCKS * (size_t)s->r + 1;
+    if (s->masks) {
         memcpy(s->saved + d * w, s->cur, w * sizeof(mask_t));
-    else
+        s->dec_mark[d] = s->nassigned;
+    } else {
         s->dec_mark[d] = s->trail_top;
+    }
 }
 
 static void restore_frame(run_t *s, int d)
 {
-    size_t w = 2 * (size_t)s->r + 1;
-    if (s->masks)
+    size_t w = F_BLOCKS * (size_t)s->r + 1;
+    if (s->masks) {
         memcpy(s->cur, s->saved + d * w, w * sizeof(mask_t));
-    else
+        s->nassigned = s->dec_mark[d];
+    } else {
         c_undo(s, s->dec_mark[d]);
+    }
 }
 
 int vdw_step(run_t *s, long long quota)
@@ -383,7 +443,7 @@ void vdw_free(run_t *s)
         s->col, s->dec_pos, s->dec_color, s->dec_maxused, s->dec_mark,
         s->midout, s->ap_members, s->pos_ap_ptr, s->pos_ap_list, s->cnt,
         s->blkcnt, s->nblocked, s->trail_kind, s->trail_pos, s->trail_col,
-        s->qpos, s->qcol, s->third, s->cur, s->saved, s->ge,
+        s->qpos, s->qcol, s->cur, s->saved, s->ge,
     };
     for (size_t i = 0; i < sizeof blocks / sizeof blocks[0]; i++)
         free(blocks[i]);
@@ -432,31 +492,18 @@ static int build_counters(run_t *s)
     return 1;
 }
 
+/* ge starts zeroed: right for a run whose root propagated nothing */
 static int build_masks(run_t *s)
 {
     int T = s->T, r = s->r;
-    size_t w = 2 * (size_t)r + 1;
-    s->third = calloc((size_t)T * T, sizeof(mask_t));
+    size_t w = F_BLOCKS * (size_t)r + 1;
     s->cur = calloc(w, sizeof(mask_t));
     s->saved = calloc((size_t)(T + 1) * w, sizeof(mask_t));
     s->ge = calloc(r + 1, sizeof(mask_t));
-    if (!s->third || !s->cur || !s->saved || !s->ge)
+    if (!s->cur || !s->saved || !s->ge)
         return 0;
-    for (int p = 0; p < T; p++)
-        for (int q = 0; q < T; q++) {
-            if (p == q)
-                continue;
-            mask_t m = 0;
-            int x1 = 2 * q - p, x2 = 2 * p - q;
-            if (x1 >= 0 && x1 < T)
-                m |= (mask_t)1 << x1;
-            if (x2 >= 0 && x2 < T)
-                m |= (mask_t)1 << x2;
-            if ((p + q) % 2 == 0)
-                m |= (mask_t)1 << ((p + q) / 2);
-            s->third[(size_t)p * T + q] = m;
-        }
-    s->cur[2 * r] = T == 128 ? ~(mask_t)0 : ((mask_t)1 << T) - 1;
+    s->all = T == 128 ? ~(mask_t)0 : ((mask_t)1 << T) - 1;
+    s->cur[F_BLOCKS * r] = s->all;
     return 1;
 }
 

@@ -159,9 +159,9 @@ class SearchStats:
     of a kept one is never opened and counts none.
     max_depth is the most positions ever colored at once, conflicting
     assignments included.  On k = 3 the C kernel's mask path reaches a
-    conflict in fewer assignments, so its max_depth can be below the
-    Python reference's; engine agreement is checked on verdict,
-    certificate and nodes only."""
+    conflict after other forced assignments than the counters do, so its
+    max_depth can be above or below the Python reference's; engine
+    agreement is checked on verdict, certificate and nodes only."""
 
     nodes: int
     elapsed: float

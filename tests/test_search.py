@@ -1,8 +1,7 @@
 """Search engine, certificates, budgets, and the file format."""
 import itertools
-import os
 import random
-import shutil
+import subprocess
 
 import pytest
 
@@ -13,6 +12,7 @@ from vdwkit._engine import (
     ORDER_MOST_BLOCKED,
     ST_EXHAUSTED,
     ST_FOUND,
+    ST_PAUSED,
     compiled_library,
     middle_out,
     open_run,
@@ -61,7 +61,7 @@ def reference_lex_first(r, k, T):
     return list(colors) if rec() else None
 
 
-HAVE_COMPILER = bool(os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc"))
+HAVE_COMPILER = _engine._compiler() is not None
 needs_compiler = pytest.mark.skipif(
     not HAVE_COMPILER, reason="no C compiler to build the compiled kernel"
 )
@@ -236,6 +236,53 @@ class TestComputeVdw:
             compute_vdw(2, 3, SearchBudget(max_nodes=-1))
         with pytest.raises(ValueError, match="max_seconds"):
             compute_vdw(2, 3, SearchBudget(max_seconds=-2.0))
+
+
+class TestCompiledKernel:
+    """The compiled kernel's own edges: the k = 3 mask path at the 64-bit
+    word boundary and at the full 128-bit mask, for r its blocked-colour
+    count specialises (3, 4) and a generic r (5); its warnings; its cache
+    key.  At r = 4 the first 1500 nodes rarely block through a position
+    past 63, so r = 3 is the case that sees a lost upper dilation word."""
+
+    @needs_compiler
+    @pytest.mark.parametrize("T", [64, 65, 127, 128])
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_engines_agree_at_mask_path_edges(self, warm_engine, r, T):
+        engine = compiled_engine()
+        for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
+            for start in [[]] + search_cubes(r, T, order)[:2]:
+                where = f"order={order} start={start}"
+                py = open_run("python", r, 3, T, order, start)
+                jit = open_run(engine, r, 3, T, order, start)
+                for _ in range(3):
+                    status = py.step(500)
+                    assert (status, py.nodes) == (jit.step(500), jit.nodes), where
+                    if status == ST_FOUND:
+                        assert py.coloring() == jit.coloring(), where
+                    if status != ST_PAUSED:
+                        break
+
+    # compiled to an object file, not -fsyntax-only: gcc reports unused
+    # static functions only when it compiles
+    @needs_compiler
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        proc = subprocess.run(
+            [_engine._compiler(), "-c", "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernel.o"), str(_engine._SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_library_name_covers_the_compile_flags(self):
+        source = _engine._SOURCE.read_bytes()
+        name = _engine._library_name
+        assert name(source) == name(source, _engine._CFLAGS)
+        assert name(source, ("-O2", "-shared", "-fPIC")) != name(
+            source, ("-O3", "-shared", "-fPIC")
+        )
+        assert name(source) != name(source + b"\n")
 
 
 class TestKernelSoundness:
