@@ -18,24 +18,20 @@ import decimal
 from dataclasses import dataclass
 
 from . import radix
-from .registry import Registry, default_registry
+from ._record import Record
+from .registry import Registry, default_registry, stored_value
 
 
-def _resolve(reg: Registry, r: int, k: int, w: int | None, what: str) -> int:
-    if w is not None:
-        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-            raise ValueError(f"need a positive integer for {what}, got {w!r}")
-        return w
-    record = reg.lookup(r, k)
-    if record is None:
-        raise LookupError(
-            f"no stored value for W({r}, {k}); supply one explicitly"
-        )
-    return record.value
+def _resolve(r: int, k: int, w: int | None, registry: Registry | None) -> int:
+    if w is None:
+        return stored_value(r, k, registry)
+    if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+        raise ValueError(f"need a positive integer for W({r}, {k}), got {w!r}")
+    return w
 
 
 @dataclass(frozen=True)
-class LogBoundResult:
+class LogBoundResult(Record):
     """Verdict on floor_log(w, r) + 1 <= k*k, with both integers attached."""
 
     holds: bool
@@ -44,13 +40,6 @@ class LogBoundResult:
 
     def __bool__(self) -> bool:
         return self.holds
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "n_plus_one": self.n_plus_one,
-            "k_squared": self.k_squared,
-        }
 
 
 def verify_log_bound(r: int, k: int, w: int) -> LogBoundResult:
@@ -70,7 +59,7 @@ def verify_log_bound(r: int, k: int, w: int) -> LogBoundResult:
 
 
 @dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Evaluated conditions and conclusion for one (r, k) pair.
 
     condition1 and condition2 are None when no k' was supplied.
@@ -138,8 +127,7 @@ def check_theorem(
     Conclusion: W(r, k) < r**(n+1) <= r**(k*k); the first comparison holds
     by definition of n, so the verdict is exactly n + 1 <= k*k.
     """
-    reg = registry if registry is not None else default_registry()
-    w_val = _resolve(reg, r, k, w, f"W({r}, {k})")
+    w_val = _resolve(r, k, w, registry)
     n = radix.floor_log(w_val, r)
     vacuous = n + 1 <= 9
 
@@ -148,7 +136,7 @@ def check_theorem(
     if k_prime is not None:
         if k_prime >= k:
             raise ValueError(f"need k_prime < k, got k_prime={k_prime!r}, k={k!r}")
-        wp = _resolve(reg, r, k_prime, w_prime, f"W({r}, {k_prime})")
+        wp = _resolve(r, k_prime, w_prime, registry)
         n_prime = radix.floor_log(wp, r)
         cond1 = w_val > wp and k > k_prime
         cond2 = n_prime < n
@@ -198,7 +186,7 @@ def _sqrt_truncated(x: int, places: int) -> str:
 
 
 @dataclass(frozen=True)
-class Table1Row:
+class Table1Row(Record):
     r: int
     k: int
     n: int
@@ -206,19 +194,9 @@ class Table1Row:
     exponent: str
     r_pow_n: str
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "n": self.n,
-            "W": self.W,
-            "exponent": self.exponent,
-            "r_pow_n": self.r_pow_n,
-        }
-
 
 @dataclass(frozen=True)
-class Table2Row:
+class Table2Row(Record):
     r: int
     k: int
     sqrt_n_plus_1: str
@@ -229,20 +207,6 @@ class Table2Row:
     W: int
     r_pow_n_plus_1: str
     r_pow_k_squared: str
-
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "sqrt_n_plus_1": self.sqrt_n_plus_1,
-            "n": self.n,
-            "ln_r": self.ln_r,
-            "ln_k": self.ln_k,
-            "r_pow_n": self.r_pow_n,
-            "W": self.W,
-            "r_pow_n_plus_1": self.r_pow_n_plus_1,
-            "r_pow_k_squared": self.r_pow_k_squared,
-        }
 
 
 def table1(registry: Registry | None = None, places: int = 5) -> list[Table1Row]:

@@ -18,7 +18,7 @@ import sys
 from . import bounds, radix, ratio, search
 from ._engine import ENGINES
 from .registry import Registry
-from .search import STATUS_EXACT, CertificateParseError, SearchBudget
+from .search import STATUS_EXACT, SearchBudget
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -137,7 +137,7 @@ def cmd_ratio(args) -> int:
         sys.stdout.write(_dump_json(payload))
     elif args.format == "csv":
         flat = {
-            key: _fraction_text(value).split(" = ")[0]
+            key: f"{value['numerator']}/{value['denominator']}"
             if isinstance(value, dict) and "numerator" in value
             else value
             for key, value in payload.items()
@@ -304,9 +304,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CertificateParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

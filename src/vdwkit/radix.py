@@ -12,6 +12,8 @@ import decimal
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from ._record import Record
+
 # Cache of [1, b, b^2, ...] per base, grown on demand.  floor_log is a
 # bisect over this list, which keeps the full-range property sweeps fast
 # while staying repeated-multiplication underneath.
@@ -49,11 +51,11 @@ def floor_log(value: int, base: int) -> int:
 
 
 @dataclass(frozen=True)
-class RadixRep:
+class RadixRep(Record):
     """A positive integer together with its digit expansion in some base.
 
     Invariants enforced at construction: the leading digit is nonzero,
-    every digit lies in [0, base-1], the digits reconstruct the value,
+    every digit is an int in [0, base-1], the digits reconstruct the value,
     and exponent + 1 equals the digit count.  Together these imply
     base**exponent <= value < base**(exponent+1).
     """
@@ -65,37 +67,16 @@ class RadixRep:
 
     def __post_init__(self):
         _check_value_base(self.value, self.base)
-        digits = tuple(self.digits)
-        object.__setattr__(self, "digits", digits)
-        if not digits:
-            raise ValueError("digit sequence is empty")
-        if digits[0] < 1:
-            raise ValueError(f"leading digit must be >= 1, got {digits[0]!r}")
-        acc = 0
-        for d in digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d!r} out of range for base {self.base}")
-            acc = acc * self.base + d
-        if acc != self.value:
+        object.__setattr__(self, "digits", tuple(self.digits))
+        from_radix(self)  # digit range and type, leading digit, value
+        if self.exponent != len(self.digits) - 1:
             raise ValueError(
-                f"digits {digits!r} reconstruct to {acc}, not {self.value}"
+                f"exponent {self.exponent!r} does not match {len(self.digits)} digits"
             )
-        if self.exponent != len(digits) - 1:
-            raise ValueError(
-                f"exponent {self.exponent!r} does not match {len(digits)} digits"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "base": self.base,
-            "digits": list(self.digits),
-            "exponent": self.exponent,
-        }
 
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Half-open integer interval [low, high)."""
 
     low: int
@@ -107,9 +88,6 @@ class Interval:
 
     def __contains__(self, value: int) -> bool:
         return self.low <= value < self.high
-
-    def as_dict(self) -> dict:
-        return {"low": self.low, "high": self.high}
 
 
 def to_radix(value: int, base: int) -> RadixRep:

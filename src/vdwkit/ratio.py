@@ -14,47 +14,23 @@ an r-power form; the two are identical because r * (1 +- alpha/r) = k.
 """
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import radix
-from .registry import Registry, default_registry
-
-
-def _pair_values(reg: Registry, r: int, k: int) -> tuple[int, int]:
-    lo = reg.lookup(r, k)
-    hi = reg.lookup(r, k + 1)
-    if lo is None or hi is None:
-        missing = f"({r}, {k})" if lo is None else f"({r}, {k + 1})"
-        raise LookupError(f"no stored value for W{missing}")
-    return lo.value, hi.value
-
-
-def rational_as_dict(q: Fraction, places: int = 6) -> dict:
-    """Numerator/denominator plus a fixed-point decimal rendering."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = places + 25
-        dec = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
-        quantum = decimal.Decimal(1).scaleb(-places)
-        rendered = str(dec.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
-    return {
-        "numerator": q.numerator,
-        "denominator": q.denominator,
-        "decimal": rendered,
-    }
+from ._record import Record, rational_as_dict  # noqa: F401 (re-exported)
+from .registry import PAPER_TABLE, Registry, default_registry, stored_value
 
 
 def exact_ratio(r: int, k: int, registry: Registry | None = None) -> Fraction:
     """W(r, k+1) / W(r, k) as a reduced fraction."""
-    reg = registry if registry is not None else default_registry()
-    w_lo, w_hi = _pair_values(reg, r, k)
-    return Fraction(w_hi, w_lo)
+    w_lo = stored_value(r, k, registry)
+    return Fraction(stored_value(r, k + 1, registry), w_lo)
 
 
 @dataclass(frozen=True)
-class AlphaDecomposition:
+class AlphaDecomposition(Record):
     """k = r + alpha (sign '+') or k = r - alpha (sign '-', includes k = r)."""
 
     alpha: int
@@ -65,9 +41,6 @@ class AlphaDecomposition:
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
-
-    def as_dict(self) -> dict:
-        return {"alpha": self.alpha, "sign": self.sign}
 
 
 def alpha_decompose(r: int, k: int) -> AlphaDecomposition:
@@ -80,7 +53,7 @@ def alpha_decompose(r: int, k: int) -> AlphaDecomposition:
 
 
 @dataclass(frozen=True)
-class RatioAnalysis:
+class RatioAnalysis(Record):
     """All the exact pieces of one consecutive-value ratio.
 
     gap is m_hi - m_lo, the difference of the two radix exponents.  The
@@ -103,29 +76,11 @@ class RatioAnalysis:
     r_form_estimate: Fraction
     residual: Fraction
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "w_lo": self.w_lo,
-            "w_hi": self.w_hi,
-            "exact": rational_as_dict(self.exact),
-            "m_lo": self.m_lo,
-            "m_hi": self.m_hi,
-            "gap": self.gap,
-            "c_lead_lo": self.c_lead_lo,
-            "c_lead_hi": self.c_lead_hi,
-            "alpha": self.alpha.as_dict(),
-            "leading_estimate": rational_as_dict(self.leading_estimate),
-            "r_form_estimate": rational_as_dict(self.r_form_estimate),
-            "residual": rational_as_dict(self.residual),
-        }
-
 
 def analyze(r: int, k: int, registry: Registry | None = None) -> RatioAnalysis:
     """Exact ratio, exponent gap, leading digits, estimates, and residual."""
-    reg = registry if registry is not None else default_registry()
-    w_lo, w_hi = _pair_values(reg, r, k)
+    w_lo = stored_value(r, k, registry)
+    w_hi = stored_value(r, k + 1, registry)
     rep_lo = radix.to_radix(w_lo, k)
     rep_hi = radix.to_radix(w_hi, k + 1)
     m_lo, m_hi = rep_lo.exponent, rep_hi.exponent
@@ -169,8 +124,8 @@ def exact_identity_rhs(r: int, k: int, registry: Registry | None = None) -> Frac
     ratio, so the return value equals exact_ratio(r, k); the function
     exists to let that be checked by evaluation rather than trusted.
     """
-    reg = registry if registry is not None else default_registry()
-    w_lo, w_hi = _pair_values(reg, r, k)
+    w_lo = stored_value(r, k, registry)
+    w_hi = stored_value(r, k + 1, registry)
     rep_lo = radix.to_radix(w_lo, k)
     rep_hi = radix.to_radix(w_hi, k + 1)
     gap = rep_hi.exponent - rep_lo.exponent
@@ -222,17 +177,10 @@ def binomial_expansion_estimate(r: int, k: int, registry: Registry | None = None
 
 
 @dataclass(frozen=True)
-class GapEntry:
+class GapEntry(Record):
     pair_lo: tuple[int, int]
     pair_hi: tuple[int, int]
     gap: int
-
-    def as_dict(self) -> dict:
-        return {
-            "pair_lo": list(self.pair_lo),
-            "pair_hi": list(self.pair_hi),
-            "gap": self.gap,
-        }
 
 
 def gap_survey(registry: Registry | None = None) -> list[GapEntry]:
@@ -242,8 +190,6 @@ def gap_survey(registry: Registry | None = None) -> list[GapEntry]:
     outside that range means broken arithmetic and raises.  Pairs added
     by extension are reported as found, whatever their gap.
     """
-    from .registry import PAPER_TABLE
-
     reg = registry if registry is not None else default_registry()
     entries = []
     for rec in reg.records():

@@ -11,6 +11,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from ._record import Record
+
 PAPER_TABLE = "paper-table"
 SEARCH_DERIVED = "search-derived"
 USER_SUPPLIED = "user-supplied"
@@ -33,7 +35,7 @@ class RegistryConflictError(ValueError):
 
 
 @dataclass(frozen=True)
-class VdwRecord:
+class VdwRecord(Record):
     """One known value W(r, k) and where it came from.
 
     provenance holds one or more tags; a record confirmed by more than
@@ -63,14 +65,6 @@ class VdwRecord:
         for tag in self.provenance:
             if tag not in PROVENANCE_TAGS:
                 raise ValueError(f"unknown provenance tag {tag!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "value": self.value,
-            "provenance": list(self.provenance),
-        }
 
 
 class Registry:
@@ -175,3 +169,15 @@ def default_registry() -> Registry:
         if _default is None:
             _default = Registry()
         return _default
+
+
+def stored_value(r: int, k: int, registry: Registry | None = None) -> int:
+    """W(r, k) from the registry, or from the default one when none is given.
+
+    Raises LookupError naming W(r, k) when the pair is not stored.
+    """
+    reg = registry if registry is not None else default_registry()
+    record = reg.lookup(r, k)
+    if record is None:
+        raise LookupError(f"no stored value for W({r}, {k})")
+    return record.value

@@ -28,6 +28,7 @@ from ._engine import (
     resolve_engine,
     search_cubes,
 )
+from ._record import Record
 from .registry import SEARCH_DERIVED, VdwRecord
 
 STATUS_EXACT = "exact"
@@ -121,7 +122,7 @@ class Coloring:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A claimed ap-free r-coloring witnessing W(r, k) > length."""
 
     r: int
@@ -151,7 +152,7 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
-class SearchStats:
+class SearchStats(Record):
     """nodes counts decisions: one per opened cube, for its pattern, and
     one per color tried inside it.  Both come from a node budget's pool,
     the pattern node before the cube is opened, so nodes never exceeds
@@ -167,16 +168,9 @@ class SearchStats:
     elapsed: float
     max_depth: int
 
-    def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "elapsed": self.elapsed,
-            "max_depth": self.max_depth,
-        }
-
 
 @dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of a compute_vdw run.
 
     status "exact": value is W(r, k) and the certificate has length
@@ -191,16 +185,6 @@ class SearchOutcome:
     value: int
     certificate: Certificate
     stats: SearchStats
-
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "status": self.status,
-            "value": self.value,
-            "certificate": self.certificate.as_dict(),
-            "stats": self.stats.as_dict(),
-        }
 
 
 def certificate_problems(cert: Certificate) -> list[str]:

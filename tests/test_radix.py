@@ -98,6 +98,8 @@ class TestRadixRepValidation:
             dict(value=35, base=4, digits=(2, 0, 2), exponent=2),  # wrong value
             dict(value=35, base=4, digits=(2, 0, 3), exponent=3),  # wrong exponent
             dict(value=35, base=4, digits=(), exponent=0),  # empty
+            dict(value=1, base=2, digits=(1.0,), exponent=0),  # float digit
+            dict(value=1, base=2, digits=(True,), exponent=0),  # bool digit
         ],
     )
     def test_rejects_inconsistent_fields(self, kwargs):
