@@ -17,18 +17,20 @@ Two engines implement the same rules:
 If the compiled kernel cannot be built or loaded, resolve_engine says so
 with a RuntimeWarning and the Python reference runs instead.
 
-Propagation bookkeeping, maintained incrementally per assignment:
-  cnt[a][c]      members of progression a currently colored c
-  blkcnt[p][c]   progressions through free position p with k-1 members
-                 colored c (assigning c at p would complete them)
-  nblocked[p]    colors with blkcnt[p][c] > 0
-A position with r-1 blocked colors is forced to the remaining one; a
-position with r blocked colors, or a progression with k members of one
-color, kills the branch.  This is unit propagation on the clauses "no
-progression is monochromatic" and "every position has a color", so the
-fixpoint, and whether it is a conflict, does not depend on the order in
-which forced moves are processed.  The C kernel's bit-mask path for
-k = 3 relies on that: it reaches the same fixpoints in another order.
+Propagation is unit propagation on the direct encoding: one variable per
+(position, color) pair, true when the position has that color.  The
+clauses are one negative k-clause per progression and color ("not every
+member has this color") and one at-least-one clause per position.
+Assigning a position sets all r of its variables, so at-most-one needs
+no clauses.  A negative clause with k-1 members colored c makes c false
+at its last member, which is then blocked for c.  A position with r-1
+blocked colors is forced to the remaining one; a position with r blocked
+colors, or a progression with k members of one color, kills the branch.
+The fixpoint of unit propagation, and whether it is a conflict, does not
+depend on the order in which forced moves are processed.  So the Python
+reference, which watches clauses, and both paths of the C kernel, which
+count colors per progression (any k) or shift bit masks (k = 3), reach
+the same fixpoints, the same blocked colors and the same search tree.
 
 Branching order, fixed per run:
   ORDER_LOWEST        decide the lowest unassigned position.
@@ -93,9 +95,17 @@ above the largest before it.  The cubes decide length T:
       exactly when some cube does, and by (1) and (2) the kept cubes
       decide length T.
 
-Every mutation lands on a trail; undo walks the trail backwards.  On a
-conflict the propagation queue still drains its member-count updates so
-the trail and the counters never disagree.
+The Python reference watches two members of each negative clause, both
+not colored in the clause's color (Moskewicz et al. 2001, Chaff).  When
+a watched member gets that color the watch moves to another member not
+colored in it; when there is none, the clause blocks its color at the
+other watched member or, when that one has the color too, is a conflict.
+A watch left on a member of the clause's color sits beside a member
+colored otherwise or blocked, in the same decision or an earlier one.
+A backtrack undoes whole decisions from the last, so it never leaves a
+watch on a member of the clause's color beside a free, unblocked one,
+and the watches need no restoring.  The trail holds only colorings and
+blocks.
 """
 from __future__ import annotations
 
@@ -138,134 +148,121 @@ def middle_out(T: int) -> list[int]:
 
 @functools.lru_cache(maxsize=8)
 def _progressions(k: int, T: int):
-    """All k-term progressions inside positions [0, T), and for each
-    position the indices of the progressions through it (read-only)."""
+    """All k-term progressions inside positions [0, T); for each position
+    the indices of the progressions whose first or second member it is,
+    the initial watches; and per progression the sum of those two members
+    (read-only)."""
     members = []
-    pos_aps: list[list[int]] = [[] for _ in range(T)]
+    watched: list[list[int]] = [[] for _ in range(T)]
     for d in range(1, (T - 1) // (k - 1) + 1):
         for a in range(T - (k - 1) * d):
-            ap = tuple(a + j * d for j in range(k))
-            for m in ap:
-                pos_aps[m].append(len(members))
-            members.append(ap)
-    return tuple(members), tuple(tuple(aps) for aps in pos_aps)
+            watched[a].append(len(members))
+            watched[a + d].append(len(members))
+            members.append(tuple(a + j * d for j in range(k)))
+    sums = tuple(ap[0] + ap[1] for ap in members)
+    return tuple(members), tuple(tuple(w) for w in watched), sums
 
 
 class PythonRun:
-    """Search state for one target length T on the plain reference kernel."""
+    """Search state for one target length T on the plain reference kernel:
+    unit propagation with two watched members per negative clause."""
 
     def __init__(self, r: int, k: int, T: int, order: int, assumptions=()):
-        self.r, self.k, self.T, self.order = r, k, T, order
-        self.members, self.pos_aps = _progressions(k, T)
-        self.cnt = [[0] * r for _ in self.members]
-        self.blkcnt = [[0] * r for _ in range(T)]
-        self.nblocked = [0] * T
+        self.r, self.order = r, order
+        self.members, watched, sums = _progressions(k, T)
+        # watches[c][p]: the progressions whose clause in color c watches
+        # p; pair[c][a]: the sum of the two positions that clause watches,
+        # so that either one gives the other
+        self.watches = [[list(w) for w in watched] for _ in range(r)]
+        self.pair = [list(sums) for _ in range(r)]
         self.col = [-1] * T
-        self.trail: list[tuple[int, int, int]] = []
+        self.false = [0] * T  # bit c: color c is blocked at this position
+        self.trail: list[tuple[int, int]] = []  # (p, 0) colored, (p, bit) blocked
+        # one frame per decision: (position, color tried, maxused, trail mark)
+        self.frames: list[tuple[int, int, int, int]] = []
         self.midout = middle_out(T)
-        self.dec_pos = [0] * (T + 1)
-        self.dec_color = [0] * (T + 1)
-        self.dec_maxused = [0] * (T + 1)
-        self.dec_mark = [0] * (T + 1)
         self.maxused = -1
-        self.nassigned = 0
-        self.max_depth = 0
-        self.nodes = 0
-        self.depth = 0
+        self.nassigned = self.max_depth = self.nodes = 0
         self.status = ST_RUNNING
         for p, c in assumptions:
             have = self.col[p]
-            if have == c:
-                continue
-            if have >= 0 or not self._propagate(p, c):
-                self.status, self.depth = ST_EXHAUSTED, -1
+            if have != c and (have >= 0 or not self._propagate(p, c)):
+                self.status = ST_EXHAUSTED
                 return
         q = self._select()
         if q < 0:
             self.status = ST_FOUND
-            return
-        self._open_frame(0, q)
-
-    def _open_frame(self, d: int, p: int) -> None:
-        self.depth = d
-        self.dec_pos[d] = p
-        self.dec_color[d] = -1
-        self.dec_maxused[d] = self.maxused
-        self.dec_mark[d] = len(self.trail)
+        else:
+            self.frames.append((q, -1, self.maxused, len(self.trail)))
 
     def _undo(self, mark: int) -> None:
-        trail, col, cnt, pos_aps = self.trail, self.col, self.cnt, self.pos_aps
-        blkcnt, nblocked = self.blkcnt, self.nblocked
+        trail, col, false = self.trail, self.col, self.false
         while len(trail) > mark:
-            kind, x, cx = trail.pop()
-            if kind == 0:
-                col[x] = -1
-                self.nassigned -= 1
-                for a in pos_aps[x]:
-                    cnt[a][cx] -= 1
+            p, bit = trail.pop()
+            if bit:
+                false[p] ^= bit
             else:
-                row = blkcnt[x]
-                row[cx] -= 1
-                if row[cx] == 0:
-                    nblocked[x] -= 1
+                col[p] = -1
+                self.nassigned -= 1
 
-    def _push_color(self, p: int, c: int) -> None:
+    def _assign(self, p: int, c: int, queue: list) -> None:
         self.col[p] = c
-        self.trail.append((0, p, c))
+        self.trail.append((p, 0))
         self.nassigned += 1
-        if self.nassigned > self.max_depth:
-            self.max_depth = self.nassigned
-        if c > self.maxused:
-            self.maxused = c
+        self.max_depth = max(self.max_depth, self.nassigned)
+        self.maxused = max(self.maxused, c)
+        queue.append((p, c))
+
+    def _unit(self, o: int, c: int, queue: list) -> bool:
+        """Every member of a clause of color c but o is colored c: block c
+        at o, forcing o when one color is left; False on a conflict."""
+        have, bit = self.col[o], 1 << c
+        if have >= 0:
+            return have != c
+        if self.false[o] & bit:
+            return True
+        self.false[o] |= bit
+        self.trail.append((o, bit))
+        # the at-least-one clause of o: no color left is a conflict, one
+        # color left is forced
+        left = ((1 << self.r) - 1) ^ self.false[o]
+        if left and not left & (left - 1):
+            self._assign(o, left.bit_length() - 1, queue)
+        return left != 0
 
     def _propagate(self, p: int, c: int) -> bool:
-        """Assign p := c and propagate forced moves; False on a conflict."""
-        r, k = self.r, self.k
-        col, cnt, blkcnt, nblocked = self.col, self.cnt, self.blkcnt, self.nblocked
-        members, pos_aps, trail = self.members, self.pos_aps, self.trail
-        conflict = False
-        self._push_color(p, c)
-        queue = [(p, c)]
-        head = 0
-        while head < len(queue):
-            x, cx = queue[head]
-            head += 1
-            # drain even after a conflict so cnt stays in step with the
-            # trail; only the blocking side effects are skipped
-            for a in pos_aps[x]:
-                row = cnt[a]
-                cc = row[cx] + 1
-                row[cx] = cc
-                if cc == k:
-                    conflict = True
-                elif cc == k - 1 and not conflict:
-                    for m in members[a]:
-                        if col[m] >= 0:
-                            continue
-                        brow = blkcnt[m]
-                        brow[cx] += 1
-                        trail.append((1, m, cx))
-                        if brow[cx] != 1:
-                            continue
-                        nblocked[m] += 1
-                        if nblocked[m] == r:
-                            conflict = True
-                        elif nblocked[m] == r - 1:
-                            f = brow.index(0)
-                            self._push_color(m, f)
-                            queue.append((m, f))
-        return not conflict
+        """Assign p := c and propagate to a fixpoint; False on a conflict."""
+        col, members = self.col, self.members
+        queue: list[tuple[int, int]] = []
+        self._assign(p, c, queue)
+        # the queue grows while it is walked
+        for x, cx in queue:
+            watches, pair = self.watches[cx], self.pair[cx]
+            watching, kept = watches[x], []
+            for i, a in enumerate(watching):
+                other = pair[a] - x
+                for m in members[a]:
+                    if col[m] != cx and m != other:
+                        pair[a] = other + m
+                        watches[m].append(a)
+                        break
+                else:
+                    kept.append(a)
+                    if not self._unit(other, cx, queue):
+                        watches[x] = kept + watching[i + 1:]
+                        return False
+            watches[x] = kept
+        return True
 
     def _select(self) -> int:
         """Next position to decide, or -1 when every position is colored."""
         col = self.col
         if self.order == ORDER_LOWEST:
             return col.index(-1) if -1 in col else -1
-        nblocked = self.nblocked
         best, best_nb = -1, -1
         for p in self.midout:
-            if col[p] < 0 and nblocked[p] > best_nb:
-                best, best_nb = p, nblocked[p]
+            if col[p] < 0 and self.false[p].bit_count() > best_nb:
+                best, best_nb = p, self.false[p].bit_count()
                 # a free position with r-1 blocked colors would be forced
                 if best_nb >= self.r - 2:
                     break
@@ -275,43 +272,32 @@ class PythonRun:
         """Run until FOUND, EXHAUSTED, or node_quota more decisions."""
         if self.status in (ST_FOUND, ST_EXHAUSTED):
             return self.status
-        r = self.r
-        dec_pos, dec_color = self.dec_pos, self.dec_color
-        dec_maxused, dec_mark = self.dec_maxused, self.dec_mark
-        blkcnt = self.blkcnt
-        nodes = 0
-        while True:
-            if nodes >= node_quota:
-                status = ST_PAUSED
-                break
-            d = self.depth
-            self._undo(dec_mark[d])
-            maxused = dec_maxused[d]
-            p = dec_pos[d]
-            cmax = min(maxused + 1, r - 1)
-            blocked = blkcnt[p]
-            c = dec_color[d] + 1
-            while c <= cmax and blocked[c] > 0:
+        frames, nodes = self.frames, 0
+        self.status = ST_PAUSED
+        while nodes < node_quota:
+            p, tried, maxused, mark = frames[-1]
+            self._undo(mark)
+            cmax = min(maxused + 1, self.r - 1)
+            c = tried + 1
+            while c <= cmax and self.false[p] >> c & 1:
                 c += 1
             if c > cmax:
-                self.depth = d - 1
-                if d == 0:
-                    status = ST_EXHAUSTED
+                frames.pop()
+                if not frames:
+                    self.status = ST_EXHAUSTED
                     break
                 continue
-            dec_color[d] = c
+            frames[-1] = (p, c, maxused, mark)
             nodes += 1
             self.maxused = maxused
-            if not self._propagate(p, c):
-                continue
-            q = self._select()
-            if q < 0:
-                status = ST_FOUND
-                break
-            self._open_frame(d + 1, q)
+            if self._propagate(p, c):
+                q = self._select()
+                if q < 0:
+                    self.status = ST_FOUND
+                    break
+                frames.append((q, -1, self.maxused, len(self.trail)))
         self.nodes += nodes
-        self.status = status
-        return status
+        return self.status
 
     def coloring(self) -> list[int]:
         return list(self.col)
@@ -321,11 +307,6 @@ class CompiledRun:
     """Search state for one target length T on the compiled kernel."""
 
     def __init__(self, lib, r: int, k: int, T: int, order: int, assumptions=()):
-        # the C side indexes with these unchecked
-        if r < 2 or k < 3 or T < 1 or order not in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
-            raise ValueError(f"bad kernel parameters r={r} k={k} T={T} order={order}")
-        if any(not (0 <= p < T and 0 <= c < r) for p, c in assumptions):
-            raise ValueError(f"root assumption outside {T} positions and {r} colors")
         n = len(assumptions)
         pos = (ctypes.c_int * max(n, 1))(*(p for p, _ in assumptions))
         cols = (ctypes.c_int * max(n, 1))(*(c for _, c in assumptions))
@@ -466,6 +447,12 @@ def resolve_engine(engine: str | None) -> str:
 
 def open_run(engine: str, r: int, k: int, T: int, order: int, assumptions=()):
     """A fresh run on a resolved engine (see resolve_engine)."""
+    # the C side indexes with these unchecked, and Python would wrap a
+    # negative position around
+    if r < 2 or k < 3 or T < 1 or order not in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
+        raise ValueError(f"bad kernel parameters r={r} k={k} T={T} order={order}")
+    if any(not (0 <= p < T and 0 <= c < r) for p, c in assumptions):
+        raise ValueError(f"root assumption outside {T} positions and {r} colors")
     if engine == "jit":
         return CompiledRun(compiled_library(), r, k, T, order, assumptions)
     return PythonRun(r, k, T, order, assumptions)

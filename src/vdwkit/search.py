@@ -159,10 +159,12 @@ class SearchStats(Record):
     max_nodes.  A cube that search_cubes leaves out as the mirror image
     of a kept one is never opened and counts none.
     max_depth is the most positions ever colored at once, conflicting
-    assignments included.  On k = 3 the C kernel's mask path reaches a
-    conflict after other forced assignments than the counters do, so its
-    max_depth can be above or below the Python reference's; engine
-    agreement is checked on verdict, certificate and nodes only."""
+    assignments included.  The Python reference, the C kernel's counters
+    and its k = 3 mask path each process forced moves in their own order,
+    so each reaches a conflict after other forced assignments and their
+    max_depth can differ (W(2, 4) in the default mode: 33 on the
+    reference, 35 on the C kernel); engine agreement is checked on
+    verdict, certificate and nodes only."""
 
     nodes: int
     elapsed: float

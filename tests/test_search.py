@@ -152,7 +152,7 @@ class TestComputeVdw:
         assert reference_lex_first(r, k, T + 1) is None
 
     # k = 3 runs the compiled kernel's bit-mask propagation, k = 4 its
-    # counter propagation; the Python reference always counts
+    # counter propagation; the Python reference always watches clauses
     @needs_compiler
     @pytest.mark.parametrize("r, k", [(2, 3), (2, 4), (3, 3)])
     def test_engines_agree_exactly(self, warm_engine, r, k):
@@ -237,16 +237,24 @@ class TestComputeVdw:
         with pytest.raises(ValueError, match="max_seconds"):
             compute_vdw(2, 3, SearchBudget(max_seconds=-2.0))
 
+    @pytest.mark.parametrize("assumption", [(-1, 0), (10, 0), (0, 3)])
+    def test_root_assumptions_outside_the_run_are_refused(self, assumption):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+        for engine in engines:
+            with pytest.raises(ValueError, match="root assumption"):
+                open_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED, [assumption])
+
 
 class TestCompiledKernel:
     """The compiled kernel's own edges: the k = 3 mask path at the 64-bit
-    word boundary and at the full 128-bit mask, for r its blocked-colour
+    word boundary and at the full 128-bit mask, and the counter path on
+    k = 3 at 129, the first length past the masks, for r its blocked-colour
     count specialises (3, 4) and a generic r (5); its warnings; its cache
     key.  At r = 4 the first 1500 nodes rarely block through a position
     past 63, so r = 3 is the case that sees a lost upper dilation word."""
 
     @needs_compiler
-    @pytest.mark.parametrize("T", [64, 65, 127, 128])
+    @pytest.mark.parametrize("T", [64, 65, 127, 128, 129])
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_engines_agree_at_mask_path_edges(self, warm_engine, r, T):
         engine = compiled_engine()
