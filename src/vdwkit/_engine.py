@@ -28,9 +28,10 @@ blocked colors is forced to the remaining one; a position with r blocked
 colors, or a progression with k members of one color, kills the branch.
 The fixpoint of unit propagation, and whether it is a conflict, does not
 depend on the order in which forced moves are processed.  So the Python
-reference, which watches clauses, and both paths of the C kernel, which
-count colors per progression (any k) or shift bit masks (k = 3), reach
-the same fixpoints, the same blocked colors and the same search tree.
+reference and the C kernel's counter path (any k), which both watch
+clauses, and its mask path (k = 3, T <= 128), which shifts bit masks,
+reach the same fixpoints, the same blocked colors and the same search
+tree.
 
 Branching order, fixed per run:
   ORDER_LOWEST        decide the lowest unassigned position.
@@ -95,17 +96,21 @@ above the largest before it.  The cubes decide length T:
       exactly when some cube does, and by (1) and (2) the kept cubes
       decide length T.
 
-The Python reference watches two members of each negative clause, both
-not colored in the clause's color (Moskewicz et al. 2001, Chaff).  When
-a watched member gets that color the watch moves to another member not
-colored in it; when there is none, the clause blocks its color at the
-other watched member or, when that one has the color too, is a conflict.
+The Python reference and the C counter path watch two members of each
+negative clause, both not colored in the clause's color (Moskewicz et
+al. 2001, Chaff).  When a watched member gets that color the watch moves
+to another member not colored in it; when there is none, the clause
+blocks its color at the other watched member or, when that one has the
+color too, is a conflict.
 A watch left on a member of the clause's color sits beside a member
 colored otherwise or blocked, in the same decision or an earlier one.
 A backtrack undoes whole decisions from the last, so it never leaves a
 watch on a member of the clause's color beside a free, unblocked one,
 and the watches need no restoring.  The trail holds only colorings and
-blocks.
+blocks.  The two differ only as C code and Python code: the C side
+visits the watches and forced moves in the same order, so it reaches a
+conflict after the same assignments and reports the same max_depth.  The
+mask path keeps no watches and processes forced moves in its own order.
 """
 from __future__ import annotations
 

@@ -8,8 +8,12 @@
  *
  * Two propagation paths give the same fixpoints and therefore the same
  * search tree:
- *   counters  any k: per-progression colour counts and per-position
- *             blocked-colour counts, undone through a trail;
+ *   counters  any k (named for the colour counts it once kept): one
+ *             negative clause per progression and colour, watching two
+ *             members not coloured in that colour, as the reference does
+ *             and in its order; per position the blocked colours and
+ *             their count; one trail of colourings and blocks, undone per
+ *             decision, while the watches are never restored;
  *   masks     k = 3 and T <= 128: 128-bit masks, saved whole at every
  *             decision level instead of trailed.  A frame holds 7r+1
  *             masks: per colour c the set M of positions coloured c, the
@@ -62,11 +66,14 @@ typedef struct {
     /* decision frames, one per level */
     int *dec_pos, *dec_color, *dec_maxused, *dec_mark;
     int *midout;
-    /* counter path */
-    int *ap_members, *pos_ap_ptr, *pos_ap_list;
-    int *cnt, *blkcnt, *nblocked;
-    int *trail_kind, *trail_pos, *trail_col, trail_top;
-    int *qpos, *qcol;
+    /* counter path: per progression a, ap[a * (r + 2)] holds its first
+     * member, its step and, per colour c, the sum of the two members its
+     * clause in c watches; watch[c] + wptr[p] holds the wlen[c * T + p]
+     * clauses in colour c that watch position p */
+    int *ap, *wptr, **watch, *wlen;
+    unsigned char *blocked;
+    int *nblocked;
+    int *trail, trail_top, *queue, qtail;
     /* mask path: cur holds one frame (see F_*), all the T-position mask */
     mask_t *cur, *saved, *ge, all;
 } run_t;
@@ -91,81 +98,86 @@ static int top128(mask_t m)
 
 static void c_undo(run_t *s, int mark)
 {
-    int r = s->r;
     while (s->trail_top > mark) {
-        int t = --s->trail_top;
-        int x = s->trail_pos[t], cx = s->trail_col[t];
-        if (s->trail_kind[t] == 0) {
-            s->col[x] = -1;
+        int e = s->trail[--s->trail_top];
+        if (e < 0) {
+            s->col[~e] = -1;
             s->nassigned--;
-            for (int i = s->pos_ap_ptr[x]; i < s->pos_ap_ptr[x + 1]; i++)
-                s->cnt[s->pos_ap_list[i] * r + cx]--;
-        } else if (--s->blkcnt[x * r + cx] == 0) {
-            s->nblocked[x]--;
+        } else {
+            s->blocked[e] = 0;
+            s->nblocked[e / s->r]--;
         }
     }
 }
 
-static void c_push_colour(run_t *s, int p, int c)
+static void c_assign(run_t *s, int p, int c)
 {
     s->col[p] = c;
-    s->trail_kind[s->trail_top] = 0;
-    s->trail_pos[s->trail_top] = p;
-    s->trail_col[s->trail_top] = c;
-    s->trail_top++;
+    s->trail[s->trail_top++] = ~p;
+    s->queue[s->qtail++] = p;
     if (++s->nassigned > s->maxdepth)
         s->maxdepth = s->nassigned;
     if (c > s->maxused)
         s->maxused = c;
 }
 
-/* Assign p := c and propagate to a fixpoint; 0 on a conflict.  After a
- * conflict the queue still drains its count updates so the trail and
- * the counters never disagree; only blocking side effects stop. */
+/* Every member of a clause in colour c but o is coloured c: block c at o,
+ * forcing o when one colour is left; 0 on a conflict. */
+static int c_unit(run_t *s, int o, int c)
+{
+    int r = s->r;
+    if (s->col[o] >= 0)
+        return s->col[o] != c;
+    unsigned char *b = s->blocked + o * r;
+    if (b[c])
+        return 1;
+    b[c] = 1;
+    s->trail[s->trail_top++] = o * r + c;
+    int nb = ++s->nblocked[o];
+    if (nb == r - 1) {
+        int f = 0;
+        while (b[f])
+            f++;
+        c_assign(s, o, f);
+    }
+    return nb < r;
+}
+
+/* Assign p := c and propagate to a fixpoint; 0 on a conflict.  The queue
+ * holds the positions coloured in this propagation, in order.  A watch
+ * list is compacted in place, so its order is the reference's. */
 static int c_propagate(run_t *s, int p, int c)
 {
-    int r = s->r, k = s->k, conflict = 0, head = 0, tail = 1;
-    c_push_colour(s, p, c);
-    s->qpos[0] = p;
-    s->qcol[0] = c;
-    while (head < tail) {
-        int x = s->qpos[head], cx = s->qcol[head];
-        head++;
-        for (int i = s->pos_ap_ptr[x]; i < s->pos_ap_ptr[x + 1]; i++) {
-            int a = s->pos_ap_list[i];
-            int cc = ++s->cnt[a * r + cx];
-            if (cc == k) {
-                conflict = 1;
-            } else if (cc == k - 1 && !conflict) {
-                const int *mem = s->ap_members + a * k;
-                for (int j = 0; j < k; j++) {
-                    int m = mem[j];
-                    if (s->col[m] >= 0)
-                        continue;
-                    int b = ++s->blkcnt[m * r + cx];
-                    s->trail_kind[s->trail_top] = 1;
-                    s->trail_pos[s->trail_top] = m;
-                    s->trail_col[s->trail_top] = cx;
-                    s->trail_top++;
-                    if (b != 1)
-                        continue;
-                    int nb = ++s->nblocked[m];
-                    if (nb == r) {
-                        conflict = 1;
-                    } else if (nb == r - 1) {
-                        int f = 0;
-                        while (s->blkcnt[m * r + f] > 0)
-                            f++;
-                        c_push_colour(s, m, f);
-                        s->qpos[tail] = m;
-                        s->qcol[tail] = f;
-                        tail++;
-                    }
-                }
+    int r = s->r, k = s->k, T = s->T, head = 0;
+    size_t w = r + 2;
+    s->qtail = 0;
+    c_assign(s, p, c);
+    while (head < s->qtail) {
+        int x = s->queue[head++], cx = s->col[x];
+        int *watch = s->watch[cx], *wlen = s->wlen + cx * T;
+        int *list = watch + s->wptr[x], n = wlen[x], kept = 0;
+        for (int i = 0; i < n; i++) {
+            int a = list[i];
+            int *row = s->ap + a * w;
+            int step = row[1], other = row[2 + cx] - x, m = row[0], j = 0;
+            for (; j < k; j++, m += step)
+                if (m != other && s->col[m] != cx)
+                    break;
+            if (j < k) {
+                row[2 + cx] = other + m;
+                watch[s->wptr[m] + wlen[m]++] = a;
+                continue;
+            }
+            list[kept++] = a;
+            if (!c_unit(s, other, cx)) {
+                memmove(list + kept, list + i + 1, (n - i - 1) * sizeof(int));
+                wlen[x] = kept + n - i - 1;
+                return 0;
             }
         }
+        wlen[x] = kept;
     }
-    return !conflict;
+    return 1;
 }
 
 static int c_select(run_t *s)
@@ -331,7 +343,7 @@ static int is_blocked(const run_t *s, int p, int c)
 {
     if (s->masks)
         return (int)((s->cur[s->r + c] >> p) & 1);
-    return s->blkcnt[p * s->r + c] > 0;
+    return s->blocked[p * s->r + c];
 }
 
 static int colour_at(const run_t *s, int p)
@@ -439,56 +451,67 @@ void vdw_free(run_t *s)
 {
     if (!s)
         return;
+    if (s->watch)
+        for (int c = 0; c < s->r; c++)
+            free(s->watch[c]);
     void *blocks[] = {
         s->col, s->dec_pos, s->dec_color, s->dec_maxused, s->dec_mark,
-        s->midout, s->ap_members, s->pos_ap_ptr, s->pos_ap_list, s->cnt,
-        s->blkcnt, s->nblocked, s->trail_kind, s->trail_pos, s->trail_col,
-        s->qpos, s->qcol, s->cur, s->saved, s->ge,
+        s->midout, s->ap, s->wptr, s->watch, s->wlen, s->blocked,
+        s->nblocked, s->trail, s->queue, s->cur, s->saved, s->ge,
     };
     for (size_t i = 0; i < sizeof blocks / sizeof blocks[0]; i++)
         free(blocks[i]);
     free(s);
 }
 
-static int build_counters(run_t *s)
+/* The clause of progression a in each colour first watches its first two
+ * members.  A position's watch list in one colour holds at most one entry
+ * per progression through it, so it gets that many slots.  Each colour's
+ * lists are a block of their own: glibc raises its mmap and trim
+ * thresholds to the largest block freed, and one block r times as large
+ * let each thread's arena keep more freed memory (about 0.9 MB more peak
+ * RSS over the budgeted W(2, 6) and W(3, 4) searches). */
+static int build_watches(run_t *s)
 {
     int T = s->T, k = s->k, r = s->r, n = 0;
     for (int d = 1; (k - 1) * d <= T - 1; d++)
         n += T - (k - 1) * d;
-    size_t trail = (size_t)T + (size_t)(k - 1) * n + 8;
-    s->ap_members = malloc(((size_t)n * k + 1) * sizeof(int));
-    s->pos_ap_ptr = calloc(T + 1, sizeof(int));
-    s->pos_ap_list = malloc(((size_t)n * k + 1) * sizeof(int));
-    s->cnt = calloc((size_t)(n + 1) * r, sizeof(int));
-    s->blkcnt = calloc((size_t)T * r, sizeof(int));
+    size_t w = r + 2;
+    s->ap = malloc(((size_t)n * w + 1) * sizeof(int));
+    s->wptr = calloc(T + 1, sizeof(int));
+    s->watch = calloc(r, sizeof(int *));
+    s->wlen = calloc((size_t)T * r, sizeof(int));
+    s->blocked = calloc((size_t)T * r, 1);
     s->nblocked = calloc(T, sizeof(int));
-    s->trail_kind = malloc(trail * sizeof(int));
-    s->trail_pos = malloc(trail * sizeof(int));
-    s->trail_col = malloc(trail * sizeof(int));
-    s->qpos = malloc((T + 1) * sizeof(int));
-    s->qcol = malloc((T + 1) * sizeof(int));
-    if (!s->ap_members || !s->pos_ap_ptr || !s->pos_ap_list || !s->cnt
-        || !s->blkcnt || !s->nblocked || !s->trail_kind || !s->trail_pos
-        || !s->trail_col || !s->qpos || !s->qcol)
+    /* a position enters the trail at most r times: each colour blocked
+     * once while it is free, and r-1 blocks colour it */
+    s->trail = malloc((size_t)T * (r + 1) * sizeof(int));
+    s->queue = malloc(T * sizeof(int));
+    if (!s->ap || !s->wptr || !s->watch || !s->wlen || !s->blocked
+        || !s->nblocked || !s->trail || !s->queue)
         return 0;
+    for (int c = 0; c < r; c++)
+        if (!(s->watch[c] = malloc(((size_t)n * k + 1) * sizeof(int))))
+            return 0;
+    for (int d = 1; (k - 1) * d <= T - 1; d++)
+        for (int start = 0; start + (k - 1) * d < T; start++)
+            for (int j = 0; j < k; j++)
+                s->wptr[start + j * d + 1]++;
+    for (int p = 0; p < T; p++)
+        s->wptr[p + 1] += s->wptr[p];
     int a = 0;
     for (int d = 1; (k - 1) * d <= T - 1; d++)
-        for (int start = 0; start + (k - 1) * d < T; start++, a++)
-            for (int j = 0; j < k; j++) {
-                s->ap_members[a * k + j] = start + j * d;
-                s->pos_ap_ptr[start + j * d + 1]++;
+        for (int start = 0; start + (k - 1) * d < T; start++, a++) {
+            int *row = s->ap + a * w;
+            row[0] = start;
+            row[1] = d;
+            for (int c = 0; c < r; c++) {
+                int *watch = s->watch[c], *wlen = s->wlen + c * T;
+                row[2 + c] = 2 * start + d;
+                watch[s->wptr[start] + wlen[start]++] = a;
+                watch[s->wptr[start + d] + wlen[start + d]++] = a;
             }
-    for (int p = 0; p < T; p++)
-        s->pos_ap_ptr[p + 1] += s->pos_ap_ptr[p];
-    int *fill = calloc(T, sizeof(int));
-    if (!fill)
-        return 0;
-    for (a = 0; a < n; a++)
-        for (int j = 0; j < k; j++) {
-            int m = s->ap_members[a * k + j];
-            s->pos_ap_list[s->pos_ap_ptr[m] + fill[m]++] = a;
         }
-    free(fill);
     return 1;
 }
 
@@ -530,7 +553,7 @@ run_t *vdw_new(int r, int k, int T, int order, int n_assume,
     s->midout = malloc(T * sizeof(int));
     if (!s->col || !s->dec_pos || !s->dec_color || !s->dec_maxused
         || !s->dec_mark || !s->midout
-        || !(s->masks ? build_masks(s) : build_counters(s))) {
+        || !(s->masks ? build_masks(s) : build_watches(s))) {
         vdw_free(s);
         return NULL;
     }

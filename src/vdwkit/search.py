@@ -159,12 +159,14 @@ class SearchStats(Record):
     max_nodes.  A cube that search_cubes leaves out as the mirror image
     of a kept one is never opened and counts none.
     max_depth is the most positions ever colored at once, conflicting
-    assignments included.  The Python reference, the C kernel's counters
-    and its k = 3 mask path each process forced moves in their own order,
-    so each reaches a conflict after other forced assignments and their
-    max_depth can differ (W(2, 4) in the default mode: 33 on the
-    reference, 35 on the C kernel); engine agreement is checked on
-    verdict, certificate and nodes only."""
+    assignments included.  The Python reference and the C kernel's
+    counter path process forced moves in one order and give the same
+    max_depth.  The C kernel's k = 3 mask path (T <= 128) processes them
+    in its own order, so it reaches a conflict after other forced
+    assignments and its max_depth can differ (W(3, 3) in the default
+    mode: 27 on the reference, 26 on the C kernel); engine agreement is
+    checked on verdict, certificate and nodes, and on the counter path
+    also on max_depth."""
 
     nodes: int
     elapsed: float

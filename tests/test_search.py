@@ -165,6 +165,25 @@ class TestComputeVdw:
             # same algorithm, same tree: the node counts must match too
             assert py.stats.nodes == jit.stats.nodes, mode
 
+    # node counts measured on the per-progression colour counting that the
+    # C counter path used before it watched clauses, kept as its oracle;
+    # they also catch a reference whose propagation is weakened but sound
+    @pytest.mark.parametrize(
+        "r, k, mode, nodes",
+        [
+            (2, 4, "witness-proof", 172),
+            (2, 4, "canonical", 943),
+            (3, 3, "witness-proof", 383),
+            (3, 3, "canonical", 4674),
+        ],
+    )
+    def test_node_counts_are_pinned(self, warm_engine, r, k, mode, nodes):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+        for engine in engines:
+            outcome = compute_vdw(r, k, mode=mode, workers=1, engine=engine)
+            assert outcome.status == "exact", engine
+            assert outcome.stats.nodes == nodes, engine
+
     # a multi-worker canonical search must give the single-worker
     # canonical certificate, which is the lexicographically first one
     @pytest.mark.parametrize("r, k", [(2, 4), (3, 3)])
@@ -249,8 +268,8 @@ class TestCompiledKernel:
     """The compiled kernel's own edges: the k = 3 mask path at the 64-bit
     word boundary and at the full 128-bit mask, and the counter path on
     k = 3 at 129, the first length past the masks, for r its blocked-colour
-    count specialises (3, 4) and a generic r (5); its warnings; its cache
-    key.  At r = 4 the first 1500 nodes rarely block through a position
+    count specialises (3, 4) and a generic r (5); the counter path at the
+    lengths its searches run; its warnings; its cache key.  At r = 4 the first 1500 nodes rarely block through a position
     past 63, so r = 3 is the case that sees a lost upper dilation word."""
 
     @needs_compiler
@@ -270,6 +289,48 @@ class TestCompiledKernel:
                         assert py.coloring() == jit.coloring(), where
                     if status != ST_PAUSED:
                         break
+
+    # the counter path against the reference at the lengths its searches
+    # run: both sides of W(2, 5) = 178, the W(3, 4) witness-proof start,
+    # the W(2, 6) budgeted start and a generic r, whose root search
+    # backtracks from about T = 500 (its first two cubes put one colour on
+    # four neighbours and are refuted at once).  A paused step reports its
+    # quota as nodes whatever the tree, so the partial coloring and
+    # max_depth are compared too: the counter path processes forced moves
+    # in the reference's order, so they agree even when the last node
+    # ended in a conflict.
+    @needs_compiler
+    @pytest.mark.parametrize(
+        "r, k, T", [(2, 5, 177), (2, 5, 178), (3, 4, 292), (2, 6, 697), (5, 4, 500)]
+    )
+    def test_engines_agree_on_long_counter_runs(self, warm_engine, r, k, T):
+        engine = compiled_engine()
+        for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
+            for start in [[]] + search_cubes(r, T, order)[:2]:
+                where = f"order={order} start={start}"
+                py = open_run("python", r, k, T, order, start)
+                jit = open_run(engine, r, k, T, order, start)
+                for _ in range(3):
+                    status = py.step(500)
+                    assert (status, py.nodes, py.max_depth) == (
+                        jit.step(500), jit.nodes, jit.max_depth
+                    ), where
+                    assert py.coloring() == jit.coloring(), where
+                    if status != ST_PAUSED:
+                        break
+
+    # W(2, 5) cubes too long for the reference, pinned from the colour
+    # counting the counter path used before it watched clauses
+    @needs_compiler
+    @pytest.mark.parametrize(
+        "T, index, status, nodes", [(178, 2, ST_EXHAUSTED, 82380), (177, 1, ST_FOUND, 43654)]
+    )
+    def test_counter_path_node_counts_are_pinned(self, warm_engine, T, index, status, nodes):
+        cube = search_cubes(2, T, ORDER_MOST_BLOCKED)[index]
+        run = open_run(compiled_engine(), 2, 5, T, ORDER_MOST_BLOCKED, cube)
+        assert (run.step(1 << 40), run.nodes) == (status, nodes)
+        if status == ST_FOUND:
+            assert verify_certificate(Certificate(2, 5, T, Coloring(2, tuple(run.coloring()))))
 
     # compiled to an object file, not -fsyntax-only: gcc reports unused
     # static functions only when it compiles
