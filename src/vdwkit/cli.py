@@ -267,9 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="derive W(r, k) by exhaustive search")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-seconds", type=float, default=None)
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--max-length", type=int, default=None)
+    p.add_argument(
+        "--max-seconds",
+        type=float,
+        default=None,
+        help="wall-clock budget; when it runs out the result is a lower "
+        "bound with status budget-exhausted (default: none)",
+    )
+    p.add_argument(
+        "--max-nodes",
+        type=int,
+        default=None,
+        help="cap on search decisions, never exceeded; when it runs out "
+        "the result is a lower bound with status budget-exhausted "
+        "(default: none)",
+    )
+    p.add_argument(
+        "--max-length",
+        type=int,
+        default=None,
+        help="stop the climb at this length and report a lower bound with "
+        "status lower-bound-only (default: none)",
+    )
     p.add_argument(
         "--mode",
         choices=search.MODES,
@@ -278,7 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
         "exhaustive proof; canonical: lexicographically least certificates "
         "from a climb that starts at length k-1",
     )
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="search threads, the calling thread included (default: the "
+        "CPU count); the python engine always runs on one",
+    )
     p.add_argument(
         "--engine",
         choices=ENGINES,

@@ -15,7 +15,6 @@ import functools
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,9 +23,9 @@ from ._engine import (
     ORDER_MOST_BLOCKED,
     ST_EXHAUSTED,
     ST_FOUND,
+    cached_cubes,
     open_run,
     resolve_engine,
-    search_cubes,
 )
 from ._record import Record
 from .registry import SEARCH_DERIVED, VdwRecord
@@ -457,22 +456,29 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     """Search length T.  Returns (verdict, colors, nodes, max_depth) with
     verdict ST_FOUND, ST_EXHAUSTED, or None when the budget stopped it.
 
-    The length is cut into the cubes of search_cubes, which threads take
-    in order.  A cube that finds a coloring makes the later ones moot; the
-    earliest finding cube wins, so a search that runs to a verdict returns
-    the same coloring for any worker count.  The length is exhausted when
-    every cube of search_cubes is.
+    The length is cut into the cubes of search_cubes.  The calling thread
+    is one worker and min(workers, cubes) - 1 helper threads join it; each
+    worker claims the next cube in order until none is left, so one worker
+    (the Python engine always) starts no thread.  A cube that finds a
+    coloring makes the later ones moot; the earliest finding cube wins, so
+    a search that runs to a verdict returns the same coloring for any
+    worker count.  The length is exhausted when every cube of search_cubes
+    is.  An exception in any worker, an interrupt of the calling thread
+    included, stops every worker at its next step; it is raised once the
+    helpers have finished.
     """
-    cubes = search_cubes(r, T, order)
+    cubes = cached_cubes(r, T, order)
     lock = threading.Lock()
+    claims = iter(range(len(cubes)))
     best_found = [len(cubes)]  # smallest cube index that found a coloring
+    errors: list[BaseException] = []  # any entry stops every worker
     # (status, nodes, max_depth, colors) per opened cube; the run itself
     # is dropped so that its kernel state is freed
     results: list = [None] * len(cubes)
 
     def moot(idx: int) -> bool:
         with lock:
-            return best_found[0] < idx
+            return bool(errors) or best_found[0] < idx
 
     def task(idx: int) -> None:
         # the cube's pattern node comes from the pool, so a node budget
@@ -487,9 +493,37 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
             with lock:
                 best_found[0] = min(best_found[0], idx)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(task, idx) for idx in range(len(cubes))]:
-            future.result()
+    def stop(exc: BaseException) -> None:
+        with lock:
+            errors.append(exc)
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    idx = None if errors else next(claims, None)
+                if idx is None:
+                    return
+                task(idx)
+        except BaseException as exc:
+            stop(exc)
+
+    helpers: list[threading.Thread] = []
+    try:
+        for _ in range(min(workers, len(cubes)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+        for helper in helpers:
+            helper.join()
+    except BaseException as exc:
+        # an interrupt outside work(): while starting or joining helpers
+        stop(exc)
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
     opened = [res for res in results if res is not None]
     nodes = sum(res[1] for res in opened)
@@ -527,10 +561,11 @@ def compute_vdw(
     (search_cubes) whatever the worker count, so certificates are
     deterministic: the same for either engine and any worker count.
 
-    workers defaults to the CPU count; the Python engine always uses one
-    thread, since threads cannot overlap its bytecode.  max_length stops
-    the climb at that length and reports a lower bound.  When a registry
-    is supplied, an exact result is recorded in it.
+    workers defaults to the CPU count, the calling thread being one of
+    them; the Python engine runs on the calling thread alone, since
+    threads cannot overlap its bytecode.  max_length stops the climb at
+    that length and reports a lower bound.  When a registry is supplied,
+    an exact result is recorded in it.
     """
     if r < 2:
         raise ValueError(f"need at least 2 colors, got r={r}")

@@ -2,6 +2,9 @@
 import itertools
 import random
 import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -196,6 +199,20 @@ class TestComputeVdw:
             assert (parallel.status, parallel.value) == (canonical.status, canonical.value)
             assert parallel.certificate.colors == canonical.certificate.colors
 
+    # more workers than cores, with the interpreter switching threads
+    # about every microsecond: a lost update to the shared winner or cube
+    # claims would change the certificate or skip a cube
+    def test_many_workers_under_fast_switching(self, warm_engine):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                outcome = compute_vdw(3, 3, mode="canonical", workers=8)
+                assert (outcome.status, outcome.value) == ("exact", 27)
+                assert "".join(map(str, outcome.certificate.colors)) == LEX_FIRST[(3, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("r, k", [(2, 4), (3, 3)])
     def test_witness_proof_certificate_ignores_worker_count(self, warm_engine, r, k):
         one = compute_vdw(r, k, workers=1)
@@ -238,6 +255,89 @@ class TestComputeVdw:
             search._cached_witness.cache_clear()
         assert calls == [(2, 3)]
         assert first.certificate == second.certificate
+
+    def test_cube_cache_hands_out_fresh_lists(self):
+        _engine.cached_cubes.cache_clear()
+        try:
+            handed = search_cubes(2, 35, ORDER_MOST_BLOCKED)
+            kept = [list(cube) for cube in handed]
+            handed[0].append((34, 1))
+            handed[1][0] = (0, 1)
+            del handed[2:]
+            again = search_cubes(2, 35, ORDER_MOST_BLOCKED)
+            assert again == kept
+            info = _engine.cached_cubes.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            _engine.cached_cubes.cache_clear()
+            assert search_cubes(2, 35, ORDER_MOST_BLOCKED) == again
+        finally:
+            _engine.cached_cubes.cache_clear()
+
+    def test_worker_errors_reach_the_caller(self, warm_engine, monkeypatch):
+        lock = threading.Lock()
+        opened = []
+        real_open = search.open_run
+
+        def failing_open(engine, r, k, T, order, assumptions=()):
+            with lock:
+                opened.append(T)
+                if len(opened) == 2:
+                    raise RuntimeError("second cube refused")
+            return real_open(engine, r, k, T, order, assumptions)
+
+        monkeypatch.setattr(search, "open_run", failing_open)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="second cube refused"):
+            compute_vdw(3, 3, workers=2)
+        assert threading.active_count() == threads
+        # the other worker stops at its next step instead of running the
+        # cubes still waiting
+        assert len(opened) < len(search_cubes(3, opened[0], ORDER_MOST_BLOCKED))
+
+    # the helper's cube never ends by itself; the error on the calling
+    # thread must stop it at its next step
+    @needs_compiler
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_error_stops_the_cube_in_flight(self, warm_engine, monkeypatch, error):
+        caller = threading.current_thread()
+        stepping, raised = threading.Event(), threading.Event()
+        steps_after = []
+
+        class EndlessRun:
+            nodes = max_depth = 0
+
+            def step(self, quota):
+                stepping.set()
+                if raised.is_set():
+                    steps_after.append(quota)
+                time.sleep(0.001)
+                self.nodes += quota
+                return ST_EXHAUSTED if len(steps_after) >= 100 else ST_PAUSED
+
+        def open_run(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                return EndlessRun()
+            stepping.wait(5)
+            raised.set()
+            raise error("stop")
+
+        monkeypatch.setattr(search, "open_run", open_run)
+        threads = threading.active_count()
+        with pytest.raises(error):
+            compute_vdw(3, 3, workers=2, engine=compiled_engine())
+        assert threading.active_count() == threads
+        assert stepping.is_set()
+        assert len(steps_after) <= 2
+
+    def test_one_worker_starts_no_thread(self, warm_engine, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-worker search started a thread")
+
+        monkeypatch.setattr(search.threading, "Thread", refuse)
+        for kwargs in ({"workers": 1}, {"engine": "python"}):
+            outcome = compute_vdw(2, 4, **kwargs)
+            assert (outcome.status, outcome.value) == ("exact", 35), kwargs
+            assert outcome.stats.nodes == 172, kwargs
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
