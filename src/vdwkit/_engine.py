@@ -472,15 +472,7 @@ def search_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
     ORDER_MOST_BLOCKED keeps a pattern only when its mirror (reflected,
     position p taking the color of T-1-p, then relabeled by first use)
     is not lexicographically smaller.  See the module docstring for
-    soundness.  Built once per (r, T, order) in a process (cached_cubes);
-    each call returns fresh lists."""
-    return [list(cube) for cube in cached_cubes(r, T, order)]
-
-
-# enough for every length of a canonical climb up to W(2,5) = 178
-@functools.lru_cache(maxsize=256)
-def cached_cubes(r: int, T: int, order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """search_cubes as read-only tuples, shared by every caller."""
+    soundness."""
     positions = range(T) if order == ORDER_LOWEST else middle_out(T)
     # the first d middle-out positions are closed under reflection
     # exactly when d has the parity of T
@@ -496,7 +488,7 @@ def cached_cubes(r: int, T: int, order: int) -> tuple[tuple[tuple[int, int], ...
         ]
     cubes = []
     for pattern in patterns:
-        cube = tuple(zip(positions, pattern))
+        cube = list(zip(positions, pattern))
         if mirrored:
             color = dict(cube)
             relabel: dict[int, int] = {}
@@ -506,4 +498,4 @@ def cached_cubes(r: int, T: int, order: int) -> tuple[tuple[tuple[int, int], ...
             if mirror < pattern:
                 continue
         cubes.append(cube)
-    return tuple(cubes)
+    return cubes

@@ -23,9 +23,9 @@ from ._engine import (
     ORDER_MOST_BLOCKED,
     ST_EXHAUSTED,
     ST_FOUND,
-    cached_cubes,
     open_run,
     resolve_engine,
+    search_cubes,
 )
 from ._record import Record
 from .registry import SEARCH_DERIVED, VdwRecord
@@ -467,7 +467,7 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     included, stops every worker at its next step; it is raised once the
     helpers have finished.
     """
-    cubes = cached_cubes(r, T, order)
+    cubes = search_cubes(r, T, order)
     lock = threading.Lock()
     claims = iter(range(len(cubes)))
     best_found = [len(cubes)]  # smallest cube index that found a coloring

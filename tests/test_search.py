@@ -188,28 +188,22 @@ class TestComputeVdw:
             assert outcome.stats.nodes == nodes, engine
 
     # a multi-worker canonical search must give the single-worker
-    # canonical certificate, which is the lexicographically first one
+    # canonical certificate, which is the lexicographically first one;
+    # with more workers than cores and the interpreter switching threads
+    # about every microsecond, a lost update to the shared winner or cube
+    # claims would change the certificate
     @pytest.mark.parametrize("r, k", [(2, 4), (3, 3)])
     def test_parallel_matches_canonical(self, warm_engine, r, k):
         canonical = compute_vdw(r, k, mode="canonical", workers=1)
         assert canonical.status == "exact"
         assert "".join(map(str, canonical.certificate.colors)) == LEX_FIRST[(r, k)]
-        for workers in (2, 4):
-            parallel = compute_vdw(r, k, mode="canonical", workers=workers)
-            assert (parallel.status, parallel.value) == (canonical.status, canonical.value)
-            assert parallel.certificate.colors == canonical.certificate.colors
-
-    # more workers than cores, with the interpreter switching threads
-    # about every microsecond: a lost update to the shared winner or cube
-    # claims would change the certificate or skip a cube
-    def test_many_workers_under_fast_switching(self, warm_engine):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
-                outcome = compute_vdw(3, 3, mode="canonical", workers=8)
-                assert (outcome.status, outcome.value) == ("exact", 27)
-                assert "".join(map(str, outcome.certificate.colors)) == LEX_FIRST[(3, 3)]
+            for workers in (2, 4, 8):
+                parallel = compute_vdw(r, k, mode="canonical", workers=workers)
+                assert (parallel.status, parallel.value) == (canonical.status, canonical.value)
+                assert parallel.certificate.colors == canonical.certificate.colors
         finally:
             sys.setswitchinterval(interval)
 
@@ -255,23 +249,6 @@ class TestComputeVdw:
             search._cached_witness.cache_clear()
         assert calls == [(2, 3)]
         assert first.certificate == second.certificate
-
-    def test_cube_cache_hands_out_fresh_lists(self):
-        _engine.cached_cubes.cache_clear()
-        try:
-            handed = search_cubes(2, 35, ORDER_MOST_BLOCKED)
-            kept = [list(cube) for cube in handed]
-            handed[0].append((34, 1))
-            handed[1][0] = (0, 1)
-            del handed[2:]
-            again = search_cubes(2, 35, ORDER_MOST_BLOCKED)
-            assert again == kept
-            info = _engine.cached_cubes.cache_info()
-            assert (info.misses, info.hits) == (1, 1)
-            _engine.cached_cubes.cache_clear()
-            assert search_cubes(2, 35, ORDER_MOST_BLOCKED) == again
-        finally:
-            _engine.cached_cubes.cache_clear()
 
     def test_worker_errors_reach_the_caller(self, warm_engine, monkeypatch):
         lock = threading.Lock()
