@@ -34,12 +34,16 @@ reach the same fixpoints, the same blocked colors and the same search
 tree.
 
 Branching order, fixed per run:
-  ORDER_LOWEST        decide the lowest unassigned position.
-  ORDER_MOST_BLOCKED  decide the unassigned position with the most
+  ORDER_LOWEST        decide the lowest free position.
+  ORDER_MOST_BLOCKED  decide the free position with the most
                       blocked colors; ties go to the position nearest
                       the middle of 0..T-1, the lower one on a tie.
 Colors are tried in ascending order, skipping blocked ones, and capped
-at one past the largest color assigned so far.
+at one past the largest color assigned so far.  Each color tried is one
+node.  max_depth is the most decisions on one branch, the deepest
+decision frame at which a color was tried (root assumptions are not
+decisions); it is fixed by the search tree, so every engine reports the
+same.
 
 Soundness of that cap (first use of colors in decision order) under any
 branching order, dynamic ones included.  Invariant: the colors assigned
@@ -109,8 +113,8 @@ watch on a member of the clause's color beside a free, unblocked one,
 and the watches need no restoring.  The trail holds only colorings and
 blocks.  The two differ only as C code and Python code: the C side
 visits the watches and forced moves in the same order, so it reaches a
-conflict after the same assignments and reports the same max_depth.  The
-mask path keeps no watches and processes forced moves in its own order.
+conflict after the same assignments.  The mask path keeps no watches and
+processes forced moves in its own order.
 """
 from __future__ import annotations
 
@@ -187,7 +191,7 @@ class PythonRun:
         self.frames: list[tuple[int, int, int, int]] = []
         self.midout = middle_out(T)
         self.maxused = -1
-        self.nassigned = self.max_depth = self.nodes = 0
+        self.max_depth = self.nodes = 0
         self.status = ST_RUNNING
         for p, c in assumptions:
             have = self.col[p]
@@ -208,13 +212,10 @@ class PythonRun:
                 false[p] ^= bit
             else:
                 col[p] = -1
-                self.nassigned -= 1
 
     def _assign(self, p: int, c: int, queue: list) -> None:
         self.col[p] = c
         self.trail.append((p, 0))
-        self.nassigned += 1
-        self.max_depth = max(self.max_depth, self.nassigned)
         self.maxused = max(self.maxused, c)
         queue.append((p, c))
 
@@ -294,6 +295,7 @@ class PythonRun:
                 continue
             frames[-1] = (p, c, maxused, mark)
             nodes += 1
+            self.max_depth = max(self.max_depth, len(frames))
             self.maxused = maxused
             if self._propagate(p, c):
                 q = self._select()

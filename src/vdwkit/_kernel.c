@@ -5,6 +5,7 @@
  * colour symmetry, propagation, root assumptions) are documented in the
  * _engine module docstring; the plain Python reference kernel there
  * implements the same rules, and the two must agree node for node.
+ * max_depth is the deepest decision frame at which a colour was tried.
  *
  * Two propagation paths give the same fixpoints and therefore the same
  * search tree:
@@ -58,13 +59,18 @@
 
 typedef unsigned __int128 mask_t;
 
+/* one decision level: the position decided, the colour tried there, the
+ * largest colour used before it and, on the counter path, the trail mark */
+typedef struct {
+    int pos, color, maxused, mark;
+} frame_t;
+
 typedef struct {
     int r, k, T, order, masks;
-    int status, depth, maxused, nassigned, maxdepth;
+    int status, depth, maxused, maxdepth;
     long long nodes;
     int *col;
-    /* decision frames, one per level */
-    int *dec_pos, *dec_color, *dec_maxused, *dec_mark;
+    frame_t *frames;
     int *midout;
     /* counter path: per progression a, ap[a * (r + 2)] holds its first
      * member, its step and, per colour c, the sum of the two members its
@@ -102,7 +108,6 @@ static void c_undo(run_t *s, int mark)
         int e = s->trail[--s->trail_top];
         if (e < 0) {
             s->col[~e] = -1;
-            s->nassigned--;
         } else {
             s->blocked[e] = 0;
             s->nblocked[e / s->r]--;
@@ -115,8 +120,6 @@ static void c_assign(run_t *s, int p, int c)
     s->col[p] = c;
     s->trail[s->trail_top++] = ~p;
     s->queue[s->qtail++] = p;
-    if (++s->nassigned > s->maxdepth)
-        s->maxdepth = s->nassigned;
     if (c > s->maxused)
         s->maxused = c;
 }
@@ -243,9 +246,6 @@ static int m_assign(run_t *s, int p, int c)
     int r = s->r;
     mask_t *f = s->cur;
     mask_t bit = (mask_t)1 << p;
-    int n = s->nassigned + 1;
-    if (n > s->maxdepth)
-        s->maxdepth = n;
     if (c > s->maxused)
         s->maxused = c;
     if (f[F_B * r + c] & bit)
@@ -270,7 +270,6 @@ static int m_assign(run_t *s, int p, int c)
     else
         *half |= (mask_t)1 << (p / 2);
     f[F_BLOCKS * r] &= ~bit;
-    s->nassigned = n;
     return 1;
 }
 
@@ -366,28 +365,33 @@ static int select_position(run_t *s)
     return s->masks ? m_select(s) : c_select(s);
 }
 
-/* the mask path keeps its assigned count in dec_mark, the counter path
- * its trail mark */
-static void save_frame(run_t *s, int d)
+/* Open decision level d at the next position to decide, saving the
+ * state to return to there; 0 when every position is coloured. */
+static int push_frame(run_t *s, int d)
 {
-    size_t w = F_BLOCKS * (size_t)s->r + 1;
+    int q = select_position(s);
+    if (q < 0)
+        return 0;
+    frame_t *f = s->frames + d;
+    f->pos = q;
+    f->color = -1;
+    f->maxused = s->maxused;
+    f->mark = s->trail_top;
     if (s->masks) {
+        size_t w = F_BLOCKS * (size_t)s->r + 1;
         memcpy(s->saved + d * w, s->cur, w * sizeof(mask_t));
-        s->dec_mark[d] = s->nassigned;
-    } else {
-        s->dec_mark[d] = s->trail_top;
     }
+    s->depth = d;
+    return 1;
 }
 
 static void restore_frame(run_t *s, int d)
 {
     size_t w = F_BLOCKS * (size_t)s->r + 1;
-    if (s->masks) {
+    if (s->masks)
         memcpy(s->cur, s->saved + d * w, w * sizeof(mask_t));
-        s->nassigned = s->dec_mark[d];
-    } else {
-        c_undo(s, s->dec_mark[d]);
-    }
+    else
+        c_undo(s, s->frames[d].mark);
 }
 
 int vdw_step(run_t *s, long long quota)
@@ -403,9 +407,9 @@ int vdw_step(run_t *s, long long quota)
         }
         int d = s->depth;
         restore_frame(s, d);
-        int maxused = s->dec_maxused[d], p = s->dec_pos[d];
-        int cmax = maxused + 1 < r - 1 ? maxused + 1 : r - 1;
-        int c = s->dec_color[d] + 1;
+        frame_t *f = s->frames + d;
+        int p = f->pos, cmax = f->maxused + 1 < r - 1 ? f->maxused + 1 : r - 1;
+        int c = f->color + 1;
         while (c <= cmax && is_blocked(s, p, c))
             c++;
         if (c > cmax) {
@@ -415,22 +419,15 @@ int vdw_step(run_t *s, long long quota)
             }
             continue;
         }
-        s->dec_color[d] = c;
+        f->color = c;
         nodes++;
-        s->maxused = maxused;
-        if (!propagate(s, p, c))
-            continue;
-        int q = select_position(s);
-        if (q < 0) {
+        if (d + 1 > s->maxdepth)
+            s->maxdepth = d + 1;
+        s->maxused = f->maxused;
+        if (propagate(s, p, c) && !push_frame(s, d + 1)) {
             status = ST_FOUND;
             break;
         }
-        d++;
-        s->depth = d;
-        s->dec_pos[d] = q;
-        s->dec_color[d] = -1;
-        s->dec_maxused[d] = s->maxused;
-        save_frame(s, d);
     }
     s->nodes += nodes;
     s->status = status;
@@ -455,9 +452,8 @@ void vdw_free(run_t *s)
         for (int c = 0; c < s->r; c++)
             free(s->watch[c]);
     void *blocks[] = {
-        s->col, s->dec_pos, s->dec_color, s->dec_maxused, s->dec_mark,
-        s->midout, s->ap, s->wptr, s->watch, s->wlen, s->blocked,
-        s->nblocked, s->trail, s->queue, s->cur, s->saved, s->ge,
+        s->col, s->frames, s->midout, s->ap, s->wptr, s->watch, s->wlen,
+        s->blocked, s->nblocked, s->trail, s->queue, s->cur, s->saved, s->ge,
     };
     for (size_t i = 0; i < sizeof blocks / sizeof blocks[0]; i++)
         free(blocks[i]);
@@ -546,13 +542,9 @@ run_t *vdw_new(int r, int k, int T, int order, int n_assume,
     s->masks = k == 3 && T <= 128;
     s->maxused = -1;
     s->col = malloc(T * sizeof(int));
-    s->dec_pos = calloc(T + 1, sizeof(int));
-    s->dec_color = calloc(T + 1, sizeof(int));
-    s->dec_maxused = calloc(T + 1, sizeof(int));
-    s->dec_mark = calloc(T + 1, sizeof(int));
+    s->frames = malloc((T + 1) * sizeof(frame_t));
     s->midout = malloc(T * sizeof(int));
-    if (!s->col || !s->dec_pos || !s->dec_color || !s->dec_maxused
-        || !s->dec_mark || !s->midout
+    if (!s->col || !s->frames || !s->midout
         || !(s->masks ? build_masks(s) : build_watches(s))) {
         vdw_free(s);
         return NULL;
@@ -571,26 +563,15 @@ run_t *vdw_new(int r, int k, int T, int order, int n_assume,
             s->midout[n++] = hi++;
     }
 
-    s->status = ST_RUNNING;
     for (int i = 0; i < n_assume; i++) {
         int p = assume_pos[i], c = assume_col[i], have = colour_at(s, p);
         if (have == c)
             continue;
         if (have >= 0 || !propagate(s, p, c)) {
             s->status = ST_EXHAUSTED;
-            s->depth = -1;
             return s;
         }
     }
-    int q = select_position(s);
-    if (q < 0) {
-        s->status = ST_FOUND;
-        return s;
-    }
-    s->depth = 0;
-    s->dec_pos[0] = q;
-    s->dec_color[0] = -1;
-    s->dec_maxused[0] = s->maxused;
-    save_frame(s, 0);
+    s->status = push_frame(s, 0) ? ST_RUNNING : ST_FOUND;
     return s;
 }

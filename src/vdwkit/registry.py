@@ -149,8 +149,6 @@ class Registry:
                 tag = parts[3]
                 try:
                     record = VdwRecord(r, k, value, (tag,))
-                except RegistryConflictError:
-                    raise
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 self.upsert_search_result(record)

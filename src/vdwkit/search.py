@@ -157,15 +157,10 @@ class SearchStats(Record):
     the pattern node before the cube is opened, so nodes never exceeds
     max_nodes.  A cube that search_cubes leaves out as the mirror image
     of a kept one is never opened and counts none.
-    max_depth is the most positions ever colored at once, conflicting
-    assignments included.  The Python reference and the C kernel's
-    counter path process forced moves in one order and give the same
-    max_depth.  The C kernel's k = 3 mask path (T <= 128) processes them
-    in its own order, so it reaches a conflict after other forced
-    assignments and its max_depth can differ (W(3, 3) in the default
-    mode: 27 on the reference, 26 on the C kernel); engine agreement is
-    checked on verdict, certificate and nodes, and on the counter path
-    also on max_depth."""
+    max_depth is the most decisions on one branch inside a cube: the
+    deepest decision frame at which a color was tried.  A cube's pattern
+    and other root assumptions are not decisions.  It is fixed by the
+    search tree, so every engine reports the same."""
 
     nodes: int
     elapsed: float
@@ -204,7 +199,7 @@ def certificate_problems(cert: Certificate) -> list[str]:
     bad = next((c for c in colors if not 0 <= c < max(cert.r, 1)), None)
     if bad is not None:
         problems.append(f"color {bad} outside range 0..{cert.r - 1}")
-    if not problems and cert.k >= 3:
+    if not problems:
         hit = find_monochromatic_ap(colors, cert.k)
         if hit is not None:
             a, d = hit
@@ -600,8 +595,7 @@ def compute_vdw(
             frontier_colors = witness
     if max_length is not None:
         frontier_colors = frontier_colors[:max_length]
-    total_nodes = 0
-    max_depth = k - 1
+    total_nodes = max_depth = 0
 
     while True:
         frontier = len(frontier_colors)

@@ -165,8 +165,11 @@ class TestComputeVdw:
             jit = compute_vdw(r, k, mode=mode, workers=1, engine=engine)
             assert (py.status, py.value) == (jit.status, jit.value), mode
             assert py.certificate.colors == jit.certificate.colors, mode
-            # same algorithm, same tree: the node counts must match too
-            assert py.stats.nodes == jit.stats.nodes, mode
+            # same algorithm, same tree: the node counts and depths must
+            # match too
+            assert (py.stats.nodes, py.stats.max_depth) == (
+                jit.stats.nodes, jit.stats.max_depth
+            ), mode
 
     # node counts measured on the per-progression colour counting that the
     # C counter path used before it watched clauses, kept as its oracle;
@@ -346,8 +349,7 @@ class TestCompiledKernel:
     word boundary and at the full 128-bit mask, and the counter path on
     k = 3 at 129, the first length past the masks, for r its blocked-colour
     count specialises (3, 4) and a generic r (5); the counter path at the
-    lengths its searches run; its warnings; its cache key.  At r = 4 the first 1500 nodes rarely block through a position
-    past 63, so r = 3 is the case that sees a lost upper dilation word."""
+    lengths its searches run; its warnings; its cache key."""
 
     @needs_compiler
     @pytest.mark.parametrize("T", [64, 65, 127, 128, 129])
@@ -361,7 +363,9 @@ class TestCompiledKernel:
                 jit = open_run(engine, r, 3, T, order, start)
                 for _ in range(3):
                     status = py.step(500)
-                    assert (status, py.nodes) == (jit.step(500), jit.nodes), where
+                    assert (status, py.nodes, py.max_depth) == (
+                        jit.step(500), jit.nodes, jit.max_depth
+                    ), where
                     if status == ST_FOUND:
                         assert py.coloring() == jit.coloring(), where
                     if status != ST_PAUSED:
@@ -372,10 +376,10 @@ class TestCompiledKernel:
     # the W(2, 6) budgeted start and a generic r, whose root search
     # backtracks from about T = 500 (its first two cubes put one colour on
     # four neighbours and are refuted at once).  A paused step reports its
-    # quota as nodes whatever the tree, so the partial coloring and
-    # max_depth are compared too: the counter path processes forced moves
-    # in the reference's order, so they agree even when the last node
-    # ended in a conflict.
+    # quota as nodes whatever the tree, so max_depth and the partial
+    # coloring are compared too: the counter path processes forced moves
+    # in the reference's order, so the colorings agree even when the last
+    # node ended in a conflict.
     @needs_compiler
     @pytest.mark.parametrize(
         "r, k, T", [(2, 5, 177), (2, 5, 178), (3, 4, 292), (2, 6, 697), (5, 4, 500)]
@@ -563,11 +567,15 @@ class TestBudgets:
         assert outcome.certificate.length == 5
         assert verify_certificate(outcome.certificate)
 
-    def test_stats_are_populated(self):
-        outcome = compute_vdw(2, 3, engine="python")
-        assert outcome.stats.nodes > 0
-        assert outcome.stats.elapsed >= 0
-        assert outcome.stats.max_depth == 9
+    # W(2, 3) needs no decision: every cube is decided by its pattern and
+    # propagation, so max_depth is 0 on every engine
+    def test_stats_are_populated(self, warm_engine):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+        for engine in engines:
+            outcome = compute_vdw(2, 3, engine=engine)
+            assert outcome.stats.nodes > 0, engine
+            assert outcome.stats.elapsed >= 0, engine
+            assert outcome.stats.max_depth == 0, engine
 
 
 class TestRegistryRecording:
