@@ -113,8 +113,9 @@ watch on a member of the clause's color beside a free, unblocked one,
 and the watches need no restoring.  The trail holds only colorings and
 blocks.  The two differ only as C code and Python code: the C side
 visits the watches and forced moves in the same order, so it reaches a
-conflict after the same assignments.  The mask path keeps no watches and
-processes forced moves in its own order.
+conflict after the same assignments.  The mask path keeps no watches: it
+counts the blocked colors of every position after each assignment and
+takes the lowest forced position next.
 """
 from __future__ import annotations
 
@@ -369,16 +370,16 @@ def _build_library(source: bytes, target: Path) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
     os.close(fd)
     try:
-        with tempfile.TemporaryDirectory() as work:
-            src = Path(work) / _SOURCE.name
-            src.write_bytes(source)
-            proc = subprocess.run(
-                [compiler, *_CFLAGS, "-o", tmp, str(src)],
-                capture_output=True,
-                text=True,
-            )
+        # the hashed bytes go in on stdin, so the library is built from
+        # exactly the source its name was computed from
+        proc = subprocess.run(
+            [compiler, *_CFLAGS, "-o", tmp, "-x", "c", "-"],
+            input=source,
+            capture_output=True,
+        )
         if proc.returncode != 0:
-            raise OSError(f"{compiler} failed: {proc.stderr.strip()}")
+            stderr = proc.stderr.decode(errors="replace").strip()
+            raise OSError(f"{compiler} failed: {stderr}")
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):

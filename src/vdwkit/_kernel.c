@@ -43,8 +43,9 @@
  * operations per assignment, whatever the size of M[c].  B[c] is the
  * union of those sets over all assignments of c, so a free position
  * completes a monochromatic progression in c exactly when its bit in
- * B[c] is set, and that one test rejects an assignment.  The counts of
- * blocked colours that end a propagation also choose the next position.
+ * B[c] is set.  Propagation counts the blocked colours of every position
+ * from B after each assignment: a free position with r is a conflict,
+ * and the lowest with r-1 is forced to its one unblocked colour.
  */
 #include <stdlib.h>
 #include <string.h>
@@ -80,7 +81,8 @@ typedef struct {
     unsigned char *blocked;
     int *nblocked;
     int *trail, trail_top, *queue, qtail;
-    /* mask path: cur holds one frame (see F_*), all the T-position mask */
+    /* mask path: cur holds one frame (see F_*), ge the blocked-colour
+     * counts of m_count_blocked, all the T-position mask */
     mask_t *cur, *saved, *ge, all;
 } run_t;
 
@@ -241,15 +243,13 @@ static void m_count_blocked(const mask_t *B, int r, mask_t *ge)
     }
 }
 
-static int m_assign(run_t *s, int p, int c)
+static void m_assign(run_t *s, int p, int c)
 {
     int r = s->r;
     mask_t *f = s->cur;
     mask_t bit = (mask_t)1 << p;
     if (c > s->maxused)
         s->maxused = c;
-    if (f[F_B * r + c] & bit)
-        return 0;
     mask_t *refl = f + F_REFL * r + c, *dlo = f + F_DIL_LO * r + c,
            *dhi = f + F_DIL_HI * r + c, *half = f + F_HALF_EVEN * r + c,
            *half_odd = f + F_HALF_ODD * r + c;
@@ -270,35 +270,32 @@ static int m_assign(run_t *s, int p, int c)
     else
         *half |= (mask_t)1 << (p / 2);
     f[F_BLOCKS * r] &= ~bit;
-    return 1;
 }
 
-/* Assign p := c and propagate to a fixpoint; 0 on a conflict.  Each
- * round assigns every position the last count found forced, then counts
- * again.  At a fixpoint s->ge holds the counts m_select reads. */
+/* Assign p := c and propagate to a fixpoint; 0 on a conflict.  After
+ * each assignment the blocked colours are counted again, and the lowest
+ * forced position takes its one unblocked colour. */
 static int m_propagate(run_t *s, int p, int c)
 {
     int r = s->r;
     const mask_t *B = s->cur + F_B * r;
-    mask_t *ge = s->ge, forced = 0;
+    mask_t *ge = s->ge;
+    /* only a root assumption can ask for a blocked colour: decisions skip
+     * blocked colours and a forced move takes the unblocked one */
+    if ((B[c] >> p) & 1)
+        return 0;
     for (;;) {
-        if (!m_assign(s, p, c))
+        m_assign(s, p, c);
+        mask_t freem = s->cur[F_BLOCKS * r];
+        m_count_blocked(B, r, ge);
+        if (ge[r] & freem)
             return 0;
-        if (!forced) {
-            mask_t freem = s->cur[F_BLOCKS * r];
-            m_count_blocked(B, r, ge);
-            if (ge[r] & freem)
-                return 0;
-            forced = ge[r - 1] & freem;
-            if (!forced)
-                return 1;
-        }
+        mask_t forced = ge[r - 1] & freem;
+        if (!forced)
+            return 1;
         p = ctz128(forced);
-        forced &= forced - 1;
-        for (c = 0; c < r && ((B[c] >> p) & 1); c++)
+        for (c = 0; (B[c] >> p) & 1; c++)
             ;
-        if (c == r)
-            return 0;
     }
 }
 
@@ -318,19 +315,19 @@ static int m_midout_first(mask_t cand, int T)
     return 2 * xh - (T - 1) < (T - 1) - 2 * xl ? xh : xl;
 }
 
-/* reads the ge masks the last m_propagate left at its fixpoint */
 static int m_select(run_t *s)
 {
     int r = s->r;
-    mask_t freem = s->cur[F_BLOCKS * r];
+    mask_t freem = s->cur[F_BLOCKS * r], *ge = s->ge;
     if (!freem)
         return -1;
     if (s->order == ORDER_LOWEST)
         return ctz128(freem);
+    m_count_blocked(s->cur + F_B * r, r, ge);
     mask_t cand = freem;
     for (int j = r - 2; j >= 1; j--)
-        if (s->ge[j] & freem) {
-            cand = s->ge[j] & freem;
+        if (ge[j] & freem) {
+            cand = ge[j] & freem;
             break;
         }
     return m_midout_first(cand, s->T);
@@ -511,7 +508,6 @@ static int build_watches(run_t *s)
     return 1;
 }
 
-/* ge starts zeroed: right for a run whose root propagated nothing */
 static int build_masks(run_t *s)
 {
     int T = s->T, r = s->r;

@@ -116,9 +116,6 @@ class Coloring:
     def __post_init__(self):
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
 
-    def __len__(self) -> int:
-        return len(self.colors)
-
 
 @dataclass(frozen=True)
 class Certificate(Record):

@@ -130,6 +130,18 @@ class TestTheoremCommand:
         assert payload["conclusion_holds"] is True
         assert payload["condition3_display"] == "true"
 
+    def test_csv_header_and_row(self, capsys):
+        code, out, _ = run(
+            capsys, "theorem", "--r", "2", "--k", "6", "--k-prime", "3",
+            "--format", "csv",
+        )
+        assert code == 0
+        report = vdwkit.check_theorem(2, 6, 3)
+        assert out.splitlines() == [
+            ",".join(report.as_dict()),
+            "2,6,3,1132,9,10,3,True,True,True,true,True,True",
+        ]
+
     def test_k_prime_not_below_k_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "theorem", "--r", "2", "--k", "6", "--k-prime", "7")
         assert code == 2 and "k_prime < k" in err

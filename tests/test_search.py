@@ -100,8 +100,10 @@ class TestOracle:
             assert not ap_free(coloring, 3)
 
     def test_k_below_three_rejected(self):
-        with pytest.raises(ValueError):
-            ap_free([0, 1], 2)
+        for check in (ap_free, find_monochromatic_ap, last_position_check):
+            for k in (1, 2):
+                with pytest.raises(ValueError, match="at least 3"):
+                    check([0, 1], k)
 
 
 class TestLastPositionCheck:
@@ -413,13 +415,14 @@ class TestCompiledKernel:
         if status == ST_FOUND:
             assert verify_certificate(Certificate(2, 5, T, Coloring(2, tuple(run.coloring()))))
 
-    # compiled to an object file, not -fsyntax-only: gcc reports unused
-    # static functions only when it compiles
+    # compiled to an object file with the build's flags, not -fsyntax-only:
+    # gcc reports unused static functions only when it compiles, and some
+    # warnings (-Wmaybe-uninitialized) only when it optimises
     @needs_compiler
     def test_kernel_compiles_without_warnings(self, tmp_path):
         proc = subprocess.run(
-            [_engine._compiler(), "-c", "-Wall", "-Wextra", "-Werror",
-             "-o", str(tmp_path / "kernel.o"), str(_engine._SOURCE)],
+            [_engine._compiler(), *_engine._CFLAGS, "-c", "-Wall", "-Wextra",
+             "-Werror", "-o", str(tmp_path / "kernel.o"), str(_engine._SOURCE)],
             capture_output=True,
             text=True,
         )
