@@ -31,7 +31,11 @@ depend on the order in which forced moves are processed.  So the Python
 reference and the C kernel's counter path (any k), which both watch
 clauses, and its mask path (k = 3, T <= 128), which shifts bit masks,
 reach the same fixpoints, the same blocked colors and the same search
-tree.
+tree.  The order of forced moves is each path's own, and nothing outside
+a step can see it: a step that pauses on its quota undoes to its deepest
+open frame.  So between steps a run shows its found coloring (FOUND),
+the fixpoint at which its deepest open frame was opened (PAUSED, a fresh
+run included), or nothing, every position -1 (EXHAUSTED).
 
 Branching order, fixed per run:
   ORDER_LOWEST        decide the lowest free position.
@@ -111,11 +115,9 @@ colored otherwise or blocked, in the same decision or an earlier one.
 A backtrack undoes whole decisions from the last, so it never leaves a
 watch on a member of the clause's color beside a free, unblocked one,
 and the watches need no restoring.  The trail holds only colorings and
-blocks.  The two differ only as C code and Python code: the C side
-visits the watches and forced moves in the same order, so it reaches a
-conflict after the same assignments.  The mask path keeps no watches: it
-counts the blocked colors of every position after each assignment and
-takes the lowest forced position next.
+blocks.  The mask path keeps no watches: it counts the blocked colors of
+every position after each assignment and takes the lowest forced
+position next.
 """
 from __future__ import annotations
 
@@ -131,7 +133,6 @@ import weakref
 from pathlib import Path
 
 # kernel status codes, shared with _kernel.c
-ST_RUNNING = 0
 ST_FOUND = 1
 ST_EXHAUSTED = 2
 ST_PAUSED = 3
@@ -193,7 +194,7 @@ class PythonRun:
         self.midout = middle_out(T)
         self.maxused = -1
         self.max_depth = self.nodes = 0
-        self.status = ST_RUNNING
+        self.status = ST_PAUSED
         for p, c in assumptions:
             have = self.col[p]
             if have != c and (have >= 0 or not self._propagate(p, c)):
@@ -276,11 +277,11 @@ class PythonRun:
         return best
 
     def step(self, node_quota: int) -> int:
-        """Run until FOUND, EXHAUSTED, or node_quota more decisions."""
+        """Run until FOUND, EXHAUSTED, or node_quota more decisions; a
+        pause undoes to the deepest open frame."""
         if self.status in (ST_FOUND, ST_EXHAUSTED):
             return self.status
         frames, nodes = self.frames, 0
-        self.status = ST_PAUSED
         while nodes < node_quota:
             p, tried, maxused, mark = frames[-1]
             self._undo(mark)
@@ -304,10 +305,15 @@ class PythonRun:
                     self.status = ST_FOUND
                     break
                 frames.append((q, -1, self.maxused, len(self.trail)))
+        else:
+            # the quota ran out: rest at the deepest open frame's fixpoint
+            self._undo(frames[-1][3])
         self.nodes += nodes
         return self.status
 
     def coloring(self) -> list[int]:
+        if self.status == ST_EXHAUSTED:
+            return [-1] * len(self.col)
         return list(self.col)
 
 

@@ -11,18 +11,21 @@
  * search tree:
  *   counters  any k (named for the colour counts it once kept): one
  *             negative clause per progression and colour, watching two
- *             members not coloured in that colour, as the reference does
- *             and in its order; per position the blocked colours and
- *             their count; one trail of colourings and blocks, undone per
- *             decision, while the watches are never restored;
+ *             members not coloured in that colour, as the reference does;
+ *             per position the blocked colours and their count; one trail
+ *             of colourings and blocks, undone per decision, while the
+ *             watches are never restored;
  *   masks     k = 3 and T <= 128: 128-bit masks, saved whole at every
- *             decision level instead of trailed.  A frame holds 7r+1
- *             masks: per colour c the set M of positions coloured c, the
- *             set B of positions where c is blocked, and four masks
- *             derived from M (reflection: bit 127-q for each q in M;
- *             dilation: bit 2q, over two words; even halving: bit q/2
- *             for even q; odd halving: bit (q-1)/2 for odd q); then the
- *             set of free positions.
+ *             decision level instead of trailed.  A frame holds 6r+1
+ *             masks: per colour c the set B of positions where c is
+ *             blocked, and four masks derived from the set M of positions
+ *             coloured c (reflection: bit 127-q for each q in M, which
+ *             also gives each position's colour; dilation: bit 2q, over
+ *             two words; even halving: bit q/2 for even q; odd halving:
+ *             bit (q-1)/2 for odd q); then the set of free positions.
+ * Each path processes forced moves in its own order, and no caller sees
+ * it: a step that pauses on its quota undoes to its deepest open frame,
+ * and an exhausted run reports no colouring.
  *
  * Assigning p := c on the mask path blocks c at every position x that
  * forms a 3-term progression with p and some q in M[c].  p plays one of
@@ -50,7 +53,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ST_RUNNING 0
 #define ST_FOUND 1
 #define ST_EXHAUSTED 2
 #define ST_PAUSED 3
@@ -150,7 +152,7 @@ static int c_unit(run_t *s, int o, int c)
 
 /* Assign p := c and propagate to a fixpoint; 0 on a conflict.  The queue
  * holds the positions coloured in this propagation, in order.  A watch
- * list is compacted in place, so its order is the reference's. */
+ * list is compacted in place. */
 static int c_propagate(run_t *s, int p, int c)
 {
     int r = s->r, k = s->k, T = s->T, head = 0;
@@ -210,7 +212,7 @@ static int c_select(run_t *s)
 /* ---- mask path ------------------------------------------------------- */
 
 /* The frame: block b, colour c at s->cur[b * r + c], free at F_BLOCKS * r */
-enum { F_M, F_B, F_REFL, F_DIL_LO, F_DIL_HI, F_HALF_EVEN, F_HALF_ODD, F_BLOCKS };
+enum { F_B, F_REFL, F_DIL_LO, F_DIL_HI, F_HALF_EVEN, F_HALF_ODD, F_BLOCKS };
 
 /* ge[j] := positions with at least j of the r colours blocked in B, for
  * j = 1..r; ge[0] is every position */
@@ -259,7 +261,6 @@ static void m_assign(run_t *s, int p, int c)
                   | *dlo >> p | (*dhi << 1) << (127 - p)
                   | (p & 1 ? *half_odd << ((p + 1) / 2) : *half << (p / 2));
     f[F_B * r + c] |= blocks & s->all;
-    f[F_M * r + c] |= bit;
     *refl |= (mask_t)1 << (127 - p);
     if (p < 64)
         *dlo |= (mask_t)1 << (2 * p);
@@ -338,7 +339,7 @@ static int m_select(run_t *s)
 static int is_blocked(const run_t *s, int p, int c)
 {
     if (s->masks)
-        return (int)((s->cur[s->r + c] >> p) & 1);
+        return (int)((s->cur[F_B * s->r + c] >> p) & 1);
     return s->blocked[p * s->r + c];
 }
 
@@ -346,8 +347,9 @@ static int colour_at(const run_t *s, int p)
 {
     if (!s->masks)
         return s->col[p];
+    const mask_t *refl = s->cur + F_REFL * s->r;
     for (int c = 0; c < s->r; c++)
-        if ((s->cur[c] >> p) & 1)
+        if ((refl[c] >> (127 - p)) & 1)
             return c;
     return -1;
 }
@@ -399,6 +401,7 @@ int vdw_step(run_t *s, long long quota)
     long long nodes = 0;
     for (;;) {
         if (nodes >= quota) {
+            restore_frame(s, s->depth);
             status = ST_PAUSED;
             break;
         }
@@ -438,7 +441,7 @@ int vdw_max_depth(const run_t *s) { return s->maxdepth; }
 void vdw_coloring(const run_t *s, int *out)
 {
     for (int p = 0; p < s->T; p++)
-        out[p] = colour_at(s, p);
+        out[p] = s->status == ST_EXHAUSTED ? -1 : colour_at(s, p);
 }
 
 void vdw_free(run_t *s)
@@ -568,6 +571,6 @@ run_t *vdw_new(int r, int k, int T, int order, int n_assume,
             return s;
         }
     }
-    s->status = push_frame(s, 0) ? ST_RUNNING : ST_FOUND;
+    s->status = push_frame(s, 0) ? ST_PAUSED : ST_FOUND;
     return s;
 }

@@ -559,6 +559,15 @@ def compute_vdw(
     that length and reports a lower bound.  When a registry is supplied,
     an exact result is recorded in it.
     """
+    budget = budget or SearchBudget()
+    # a float would reach range() or the kernel's C integers, and a bool
+    # is an int to isinstance
+    for name, count in (
+        ("r", r), ("k", k), ("workers", workers), ("max_length", max_length),
+        ("max_nodes", budget.max_nodes),
+    ):
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int)):
+            raise ValueError(f"{name} must be an integer, got {name}={count!r}")
     if r < 2:
         raise ValueError(f"need at least 2 colors, got r={r}")
     if k < 3:
@@ -569,7 +578,6 @@ def compute_vdw(
         raise ValueError(f"max_length {max_length} below the shortest target {k}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got workers={workers}")
-    budget = budget or SearchBudget()
     for name in ("max_seconds", "max_nodes"):
         limit = getattr(budget, name)
         # not >= also rejects a NaN time budget, which would never expire

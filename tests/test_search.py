@@ -1,6 +1,7 @@
 """Search engine, certificates, budgets, and the file format."""
 import itertools
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -337,6 +338,17 @@ class TestComputeVdw:
             compute_vdw(2, 3, SearchBudget(max_nodes=-1))
         with pytest.raises(ValueError, match="max_seconds"):
             compute_vdw(2, 3, SearchBudget(max_seconds=-2.0))
+        # r, k and the counts must be ints on both engines; a bool is not one
+        for engine in ("jit", "python"):
+            for args in [(2.0, 3), (2, 3.0)]:
+                with pytest.raises(ValueError, match="must be an integer"):
+                    compute_vdw(*args, engine=engine)
+            for name, count in [("workers", 2.5), ("workers", True), ("max_length", 20.5)]:
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    compute_vdw(2, 4, engine=engine, **{name: count})
+            for count in (100.0, 1.5, True):
+                with pytest.raises(ValueError, match="max_nodes must be an integer"):
+                    compute_vdw(2, 4, SearchBudget(max_nodes=count), engine=engine)
 
     @pytest.mark.parametrize("assumption", [(-1, 0), (10, 0), (0, 3)])
     def test_root_assumptions_outside_the_run_are_refused(self, assumption):
@@ -347,58 +359,41 @@ class TestComputeVdw:
 
 
 class TestCompiledKernel:
-    """The compiled kernel's own edges: the k = 3 mask path at the 64-bit
-    word boundary and at the full 128-bit mask, and the counter path on
-    k = 3 at 129, the first length past the masks, for r its blocked-colour
-    count specialises (3, 4) and a generic r (5); the counter path at the
-    lengths its searches run; its warnings; its cache key."""
+    """The compiled kernel against the reference after every step, on
+    both its paths: the k = 3 mask path at the 64-bit word boundary and at
+    the full 128-bit mask, and the counter path on k = 3 at 129, the first
+    length past the masks, for r its blocked-colour count specialises
+    (3, 4) and a generic r (5); the counter path at the lengths its
+    searches run.  Then its pinned counts, its warnings, the constants it
+    shares with _engine and its cache key."""
 
-    @needs_compiler
-    @pytest.mark.parametrize("T", [64, 65, 127, 128, 129])
-    @pytest.mark.parametrize("r", [3, 4, 5])
-    def test_engines_agree_at_mask_path_edges(self, warm_engine, r, T):
-        engine = compiled_engine()
-        for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
-            for start in [[]] + search_cubes(r, T, order)[:2]:
-                where = f"order={order} start={start}"
-                py = open_run("python", r, 3, T, order, start)
-                jit = open_run(engine, r, 3, T, order, start)
-                for _ in range(3):
-                    status = py.step(500)
-                    assert (status, py.nodes, py.max_depth) == (
-                        jit.step(500), jit.nodes, jit.max_depth
-                    ), where
-                    if status == ST_FOUND:
-                        assert py.coloring() == jit.coloring(), where
-                    if status != ST_PAUSED:
-                        break
-
-    # the counter path against the reference at the lengths its searches
-    # run: both sides of W(2, 5) = 178, the W(3, 4) witness-proof start,
-    # the W(2, 6) budgeted start and a generic r, whose root search
-    # backtracks from about T = 500 (its first two cubes put one colour on
-    # four neighbours and are refuted at once).  A paused step reports its
-    # quota as nodes whatever the tree, so max_depth and the partial
-    # coloring are compared too: the counter path processes forced moves
-    # in the reference's order, so the colorings agree even when the last
-    # node ended in a conflict.
+    # the counter path's lengths: both sides of W(2, 5) = 178, the W(3, 4)
+    # witness-proof start, the W(2, 6) budgeted start and a generic r,
+    # whose root search backtracks from about T = 500 (its first two cubes
+    # put one colour on four neighbours and are refuted at once).  A paused
+    # step reports its quota as nodes whatever the tree, so max_depth and
+    # the coloring are compared too: each path propagates in its own
+    # order, but between steps a run shows its found coloring, the
+    # fixpoint of its deepest open frame, or nothing.
     @needs_compiler
     @pytest.mark.parametrize(
-        "r, k, T", [(2, 5, 177), (2, 5, 178), (3, 4, 292), (2, 6, 697), (5, 4, 500)]
+        "r, k, T",
+        [(r, 3, T) for r in (3, 4, 5) for T in (64, 65, 127, 128, 129)]
+        + [(2, 5, 177), (2, 5, 178), (3, 4, 292), (2, 6, 697), (5, 4, 500)],
     )
-    def test_engines_agree_on_long_counter_runs(self, warm_engine, r, k, T):
+    def test_engines_agree_after_every_step(self, warm_engine, r, k, T):
         engine = compiled_engine()
         for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
             for start in [[]] + search_cubes(r, T, order)[:2]:
                 where = f"order={order} start={start}"
                 py = open_run("python", r, k, T, order, start)
                 jit = open_run(engine, r, k, T, order, start)
+                assert py.coloring() == jit.coloring(), where
                 for _ in range(3):
                     status = py.step(500)
-                    assert (status, py.nodes, py.max_depth) == (
-                        jit.step(500), jit.nodes, jit.max_depth
+                    assert (status, py.nodes, py.max_depth, py.coloring()) == (
+                        jit.step(500), jit.nodes, jit.max_depth, jit.coloring()
                     ), where
-                    assert py.coloring() == jit.coloring(), where
                     if status != ST_PAUSED:
                         break
 
@@ -427,6 +422,13 @@ class TestCompiledKernel:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_status_and_order_constants_match_the_kernel(self):
+        defines = re.findall(
+            r"^#define ((?:ST|ORDER)_\w+)\s+(\S+)", _engine._SOURCE.read_text(), re.M
+        )
+        ours = {n: v for n, v in vars(_engine).items() if n.startswith(("ST_", "ORDER_"))}
+        assert {name: int(value) for name, value in defines} == ours
 
     def test_library_name_covers_the_compile_flags(self):
         source = _engine._SOURCE.read_bytes()
