@@ -70,7 +70,10 @@ lexicographically no larger one that the cap admits).
 
 Root assumptions: a run may start from a list of (position, color)
 pairs, assigned and propagated in order before the first decision; a
-conflict among them makes the run exhausted at once.  search_cubes
+conflict among them makes the run exhausted at once.  A run's root
+method starts it afresh from other assumptions, in any state, keeping
+what it built for length T; it then searches exactly as a fresh run
+opened with them.  search_cubes
 uses them to cut length T into cubes, each fixing the first d positions
 of the branching order (0, 1, ... for ORDER_LOWEST, middle_out(T) for
 ORDER_MOST_BLOCKED) to one first-use pattern: each color at most one
@@ -174,6 +177,13 @@ def _progressions(k: int, T: int):
     return tuple(members), tuple(tuple(w) for w in watched), sums
 
 
+def _check_assumptions(r: int, T: int, assumptions) -> None:
+    # the C side indexes with these unchecked, and Python would wrap a
+    # negative position around
+    if any(not (0 <= p < T and 0 <= c < r) for p, c in assumptions):
+        raise ValueError(f"root assumption outside {T} positions and {r} colors")
+
+
 class PythonRun:
     """Search state for one target length T on the plain reference kernel:
     unit propagation with two watched members per negative clause."""
@@ -189,9 +199,17 @@ class PythonRun:
         self.col = [-1] * T
         self.false = [0] * T  # bit c: color c is blocked at this position
         self.trail: list[tuple[int, int]] = []  # (p, 0) colored, (p, bit) blocked
+        self.midout = middle_out(T)
+        self.root(assumptions)
+
+    def root(self, assumptions=()) -> None:
+        """Start afresh from nothing colored with the given root
+        assumptions.  The watches stay where they are: with nothing
+        colored, any two members of a clause may be its watches."""
+        _check_assumptions(self.r, len(self.col), assumptions)
+        self._undo(0)
         # one frame per decision: (position, color tried, maxused, trail mark)
         self.frames: list[tuple[int, int, int, int]] = []
-        self.midout = middle_out(T)
         self.maxused = -1
         self.max_depth = self.nodes = 0
         self.status = ST_PAUSED
@@ -321,14 +339,27 @@ class CompiledRun:
     """Search state for one target length T on the compiled kernel."""
 
     def __init__(self, lib, r: int, k: int, T: int, order: int, assumptions=()):
-        n = len(assumptions)
-        pos = (ctypes.c_int * max(n, 1))(*(p for p, _ in assumptions))
-        cols = (ctypes.c_int * max(n, 1))(*(c for _, c in assumptions))
-        handle = lib.vdw_new(r, k, T, order, n, pos, cols)
+        handle = lib.vdw_new(r, k, T, order)
         if not handle:
             raise MemoryError(f"kernel state for T={T} could not be allocated")
-        self._lib, self._handle, self.T = lib, handle, T
+        self._lib, self._handle, self.r, self.T = lib, handle, r, T
         self._free = weakref.finalize(self, lib.vdw_free, handle)
+        # the cubes of one length share their positions, so their array
+        # is built once per run
+        self._positions, self._pos = None, None
+        self.root(assumptions)
+
+    def root(self, assumptions=()) -> None:
+        """Start afresh from nothing colored with the given root
+        assumptions."""
+        _check_assumptions(self.r, self.T, assumptions)
+        n = len(assumptions)
+        positions, colors = tuple(zip(*assumptions)) or ((), ())
+        if positions != self._positions:
+            self._positions = positions
+            self._pos = (ctypes.c_int * max(n, 1))(*positions)
+        cols = (ctypes.c_int * max(n, 1))(*colors)
+        self._lib.vdw_root(self._handle, n, self._pos, cols)
 
     def step(self, node_quota: int) -> int:
         return self._lib.vdw_step(self._handle, node_quota)
@@ -433,16 +464,18 @@ def compiled_library():
             stacklevel=2,
         )
         return None
-    handle = ctypes.c_void_p
-    lib.vdw_new.argtypes = [ctypes.c_int] * 5 + [ctypes.POINTER(ctypes.c_int)] * 2
+    handle, ints = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int)
+    lib.vdw_new.argtypes = [ctypes.c_int] * 4
     lib.vdw_new.restype = handle
+    lib.vdw_root.argtypes = [handle, ctypes.c_int, ints, ints]
+    lib.vdw_root.restype = ctypes.c_int
     lib.vdw_step.argtypes = [handle, ctypes.c_longlong]
     lib.vdw_step.restype = ctypes.c_int
     lib.vdw_nodes.argtypes = [handle]
     lib.vdw_nodes.restype = ctypes.c_longlong
     lib.vdw_max_depth.argtypes = [handle]
     lib.vdw_max_depth.restype = ctypes.c_int
-    lib.vdw_coloring.argtypes = [handle, ctypes.POINTER(ctypes.c_int)]
+    lib.vdw_coloring.argtypes = [handle, ints]
     lib.vdw_coloring.restype = None
     lib.vdw_free.argtypes = [handle]
     lib.vdw_free.restype = None
@@ -460,13 +493,11 @@ def resolve_engine(engine: str | None) -> str:
 
 
 def open_run(engine: str, r: int, k: int, T: int, order: int, assumptions=()):
-    """A fresh run on a resolved engine (see resolve_engine)."""
-    # the C side indexes with these unchecked, and Python would wrap a
-    # negative position around
+    """A fresh run on a resolved engine (see resolve_engine).  Its root
+    method starts it again from other root assumptions."""
+    # the C side indexes with these unchecked
     if r < 2 or k < 3 or T < 1 or order not in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
         raise ValueError(f"bad kernel parameters r={r} k={k} T={T} order={order}")
-    if any(not (0 <= p < T and 0 <= c < r) for p, c in assumptions):
-        raise ValueError(f"root assumption outside {T} positions and {r} colors")
     if engine == "jit":
         return CompiledRun(compiled_library(), r, k, T, order, assumptions)
     return PythonRun(r, k, T, order, assumptions)
@@ -482,29 +513,49 @@ def search_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
     position p taking the color of T-1-p, then relabeled by first use)
     is not lexicographically smaller.  See the module docstring for
     soundness."""
-    positions = range(T) if order == ORDER_LOWEST else middle_out(T)
     # the first d middle-out positions are closed under reflection
     # exactly when d has the parity of T
     mirrored = order == ORDER_MOST_BLOCKED
-    patterns: list[tuple[int, ...]] = [()]
-    while len(patterns[0]) < T and (
-        len(patterns) < CUBE_PATTERNS or mirrored and (T - len(patterns[0])) % 2
+    d = 0
+    while d < T and (
+        len(_first_use_patterns(r, d)) < CUBE_PATTERNS or mirrored and (T - d) % 2
     ):
-        patterns = [
-            pattern + (c,)
-            for pattern in patterns
-            for c in range(min(max(pattern, default=-1) + 2, r))
-        ]
-    cubes = []
+        d += 1
+    # with d of T's parity, the first d middle-out positions of 0..T-1 are
+    # those of 0..d-1 moved to the centre
+    positions = [p + (T - d) // 2 for p in middle_out(d)] if mirrored else range(d)
+    return [list(zip(positions, pattern)) for pattern in _kept_patterns(r, order, d)]
+
+
+@functools.cache
+def _first_use_patterns(r: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Every first-use pattern of length d with r colors, in lexicographic
+    order: each color at most one above the largest before it."""
+    if d == 0:
+        return ((),)
+    return tuple(
+        pattern + (c,)
+        for pattern in _first_use_patterns(r, d - 1)
+        for c in range(min(max(pattern, default=-1) + 2, r))
+    )
+
+
+@functools.cache
+def _kept_patterns(r: int, order: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The patterns of depth d that search_cubes keeps.  Under
+    ORDER_MOST_BLOCKED they lie on the middle-out positions of 0..d-1
+    moved to the centre of 0..T-1, and reflection in T maps them as
+    reflection in d does: a fixed swap of pattern indices."""
+    patterns = _first_use_patterns(r, d)
+    if order == ORDER_LOWEST:
+        return patterns
+    cut = middle_out(d)
+    index = {p: i for i, p in enumerate(cut)}
+    image = [index[d - 1 - p] for p in cut]
+    kept = []
     for pattern in patterns:
-        cube = list(zip(positions, pattern))
-        if mirrored:
-            color = dict(cube)
-            relabel: dict[int, int] = {}
-            mirror = tuple(
-                relabel.setdefault(color[T - 1 - p], len(relabel)) for p, _ in cube
-            )
-            if mirror < pattern:
-                continue
-        cubes.append(cube)
-    return cubes
+        relabel: dict[int, int] = {}
+        mirror = tuple(relabel.setdefault(pattern[i], len(relabel)) for i in image)
+        if mirror >= pattern:
+            kept.append(pattern)
+    return tuple(kept)

@@ -16,13 +16,15 @@
  *             of colourings and blocks, undone per decision, while the
  *             watches are never restored;
  *   masks     k = 3 and T <= 128: 128-bit masks, saved whole at every
- *             decision level instead of trailed.  A frame holds 6r+1
+ *             decision level instead of trailed.  A frame holds 7r+1
  *             masks: per colour c the set B of positions where c is
  *             blocked, and four masks derived from the set M of positions
  *             coloured c (reflection: bit 127-q for each q in M, which
  *             also gives each position's colour; dilation: bit 2q, over
  *             two words; even halving: bit q/2 for even q; odd halving:
- *             bit (q-1)/2 for odd q); then the set of free positions.
+ *             bit (q-1)/2 for odd q); per j = 1..r the set of positions
+ *             with at least j colours blocked; then the set of free
+ *             positions.
  * Each path processes forced moves in its own order, and no caller sees
  * it: a step that pauses on its quota undoes to its deepest open frame,
  * and an exhausted run reports no colouring.
@@ -46,9 +48,14 @@
  * operations per assignment, whatever the size of M[c].  B[c] is the
  * union of those sets over all assignments of c, so a free position
  * completes a monochromatic progression in c exactly when its bit in
- * B[c] is set.  Propagation counts the blocked colours of every position
- * from B after each assignment: a free position with r is a conflict,
- * and the lowest with r-1 is forced to its one unblocked colour.
+ * B[c] is set.  The positions new to B[c] each gain one blocked colour,
+ * so each moves from the set with at least j-1 blocked to the one with at
+ * least j.  After each assignment a free position with r blocked colours
+ * is a conflict, and the lowest with r-1 is forced to its one unblocked
+ * colour.
+ *
+ * One run serves many cubes of its length: vdw_root clears the state and
+ * applies the next cube's root assumptions.
  */
 #include <stdlib.h>
 #include <string.h>
@@ -83,9 +90,8 @@ typedef struct {
     unsigned char *blocked;
     int *nblocked;
     int *trail, trail_top, *queue, qtail;
-    /* mask path: cur holds one frame (see F_*), ge the blocked-colour
-     * counts of m_count_blocked, all the T-position mask */
-    mask_t *cur, *saved, *ge, all;
+    /* mask path: cur holds one frame (see F_*), all the T-position mask */
+    mask_t *cur, *saved, all;
 } run_t;
 
 static int ctz128(mask_t m)
@@ -211,38 +217,14 @@ static int c_select(run_t *s)
 
 /* ---- mask path ------------------------------------------------------- */
 
-/* The frame: block b, colour c at s->cur[b * r + c], free at F_BLOCKS * r */
-enum { F_B, F_REFL, F_DIL_LO, F_DIL_HI, F_HALF_EVEN, F_HALF_ODD, F_BLOCKS };
+/* The frame: block b, colour c at s->cur[b * r + c], free at F_BLOCKS * r.
+ * Block F_GE holds, at j-1, the positions with at least j colours blocked. */
+enum { F_B, F_REFL, F_DIL_LO, F_DIL_HI, F_HALF_EVEN, F_HALF_ODD, F_GE, F_BLOCKS };
 
-/* ge[j] := positions with at least j of the r colours blocked in B, for
- * j = 1..r; ge[0] is every position */
-static inline __attribute__((always_inline)) void
-count_blocked_r(const mask_t *B, const int r, mask_t *ge)
+/* the positions with at least j colours blocked, for j = 1..r */
+static mask_t *at_least(const run_t *s)
 {
-    ge[0] = ~(mask_t)0;
-    for (int j = 1; j <= r; j++)
-        ge[j] = 0;
-    for (int c = 0; c < r; c++)
-        for (int j = c + 1; j >= 1; j--)
-            ge[j] |= ge[j - 1] & B[c];
-}
-
-/* count_blocked_r with a constant r where it pays, so its loops unroll */
-static void m_count_blocked(const mask_t *B, int r, mask_t *ge)
-{
-    switch (r) {
-    case 2:
-        count_blocked_r(B, 2, ge);
-        break;
-    case 3:
-        count_blocked_r(B, 3, ge);
-        break;
-    case 4:
-        count_blocked_r(B, 4, ge);
-        break;
-    default:
-        count_blocked_r(B, r, ge);
-    }
+    return s->cur + F_GE * s->r - 1;
 }
 
 static void m_assign(run_t *s, int p, int c)
@@ -260,7 +242,11 @@ static void m_assign(run_t *s, int p, int c)
     mask_t blocks = (2 * p > 127 ? *refl << (2 * p - 127) : *refl >> (127 - 2 * p))
                   | *dlo >> p | (*dhi << 1) << (127 - p)
                   | (p & 1 ? *half_odd << ((p + 1) / 2) : *half << (p / 2));
-    f[F_B * r + c] |= blocks & s->all;
+    mask_t fresh = blocks & s->all & ~f[F_B * r + c], *ge = at_least(s);
+    f[F_B * r + c] |= fresh;
+    for (int j = r; j > 1; j--)
+        ge[j] |= ge[j - 1] & fresh;
+    ge[1] |= fresh;
     *refl |= (mask_t)1 << (127 - p);
     if (p < 64)
         *dlo |= (mask_t)1 << (2 * p);
@@ -274,13 +260,12 @@ static void m_assign(run_t *s, int p, int c)
 }
 
 /* Assign p := c and propagate to a fixpoint; 0 on a conflict.  After
- * each assignment the blocked colours are counted again, and the lowest
- * forced position takes its one unblocked colour. */
+ * each assignment the lowest forced position takes its one unblocked
+ * colour. */
 static int m_propagate(run_t *s, int p, int c)
 {
     int r = s->r;
-    const mask_t *B = s->cur + F_B * r;
-    mask_t *ge = s->ge;
+    const mask_t *B = s->cur + F_B * r, *ge = at_least(s);
     /* only a root assumption can ask for a blocked colour: decisions skip
      * blocked colours and a forced move takes the unblocked one */
     if ((B[c] >> p) & 1)
@@ -288,7 +273,6 @@ static int m_propagate(run_t *s, int p, int c)
     for (;;) {
         m_assign(s, p, c);
         mask_t freem = s->cur[F_BLOCKS * r];
-        m_count_blocked(B, r, ge);
         if (ge[r] & freem)
             return 0;
         mask_t forced = ge[r - 1] & freem;
@@ -319,12 +303,11 @@ static int m_midout_first(mask_t cand, int T)
 static int m_select(run_t *s)
 {
     int r = s->r;
-    mask_t freem = s->cur[F_BLOCKS * r], *ge = s->ge;
+    mask_t freem = s->cur[F_BLOCKS * r], *ge = at_least(s);
     if (!freem)
         return -1;
     if (s->order == ORDER_LOWEST)
         return ctz128(freem);
-    m_count_blocked(s->cur + F_B * r, r, ge);
     mask_t cand = freem;
     for (int j = r - 2; j >= 1; j--)
         if (ge[j] & freem) {
@@ -406,8 +389,10 @@ int vdw_step(run_t *s, long long quota)
             break;
         }
         int d = s->depth;
-        restore_frame(s, d);
         frame_t *f = s->frames + d;
+        /* a frame where no colour was tried yet still holds its state */
+        if (f->color >= 0)
+            restore_frame(s, d);
         int p = f->pos, cmax = f->maxused + 1 < r - 1 ? f->maxused + 1 : r - 1;
         int c = f->color + 1;
         while (c <= cmax && is_blocked(s, p, c))
@@ -453,7 +438,7 @@ void vdw_free(run_t *s)
             free(s->watch[c]);
     void *blocks[] = {
         s->col, s->frames, s->midout, s->ap, s->wptr, s->watch, s->wlen,
-        s->blocked, s->nblocked, s->trail, s->queue, s->cur, s->saved, s->ge,
+        s->blocked, s->nblocked, s->trail, s->queue, s->cur, s->saved,
     };
     for (size_t i = 0; i < sizeof blocks / sizeof blocks[0]; i++)
         free(blocks[i]);
@@ -515,21 +500,18 @@ static int build_masks(run_t *s)
 {
     int T = s->T, r = s->r;
     size_t w = F_BLOCKS * (size_t)r + 1;
-    s->cur = calloc(w, sizeof(mask_t));
-    s->saved = calloc((size_t)(T + 1) * w, sizeof(mask_t));
-    s->ge = calloc(r + 1, sizeof(mask_t));
-    if (!s->cur || !s->saved || !s->ge)
+    s->cur = malloc(w * sizeof(mask_t));
+    s->saved = malloc((size_t)(T + 1) * w * sizeof(mask_t));
+    if (!s->cur || !s->saved)
         return 0;
     s->all = T == 128 ? ~(mask_t)0 : ((mask_t)1 << T) - 1;
-    s->cur[F_BLOCKS * r] = s->all;
     return 1;
 }
 
-/* A run over positions 0..T-1 with the given root assumptions applied
- * and propagated; NULL when memory runs out.  The caller validates the
- * arguments (r >= 2, k >= 3, T >= 1, assumptions in range). */
-run_t *vdw_new(int r, int k, int T, int order, int n_assume,
-               const int *assume_pos, const int *assume_col)
+/* A run over positions 0..T-1, to be given its root assumptions by
+ * vdw_root; NULL when memory runs out.  The caller validates the
+ * arguments (r >= 2, k >= 3, T >= 1). */
+run_t *vdw_new(int r, int k, int T, int order)
 {
     run_t *s = calloc(1, sizeof(run_t));
     if (!s)
@@ -539,7 +521,6 @@ run_t *vdw_new(int r, int k, int T, int order, int n_assume,
     s->T = T;
     s->order = order;
     s->masks = k == 3 && T <= 128;
-    s->maxused = -1;
     s->col = malloc(T * sizeof(int));
     s->frames = malloc((T + 1) * sizeof(frame_t));
     s->midout = malloc(T * sizeof(int));
@@ -561,16 +542,31 @@ run_t *vdw_new(int r, int k, int T, int order, int n_assume,
         if (hi < T)
             s->midout[n++] = hi++;
     }
+    return s;
+}
 
+/* Start the search of s afresh from nothing coloured, with the given root
+ * assumptions applied and propagated; returns the status.  On the counter
+ * path the watches stay where they are: with nothing coloured, any two
+ * members of a clause may be its watches.  The caller validates the
+ * assumptions (in range). */
+int vdw_root(run_t *s, int n_assume, const int *assume_pos, const int *assume_col)
+{
+    s->nodes = 0;
+    s->maxdepth = s->depth = 0;
+    s->maxused = -1;
+    if (s->masks) {
+        memset(s->cur, 0, F_BLOCKS * (size_t)s->r * sizeof(mask_t));
+        s->cur[F_BLOCKS * s->r] = s->all;
+    } else {
+        c_undo(s, 0);
+    }
     for (int i = 0; i < n_assume; i++) {
         int p = assume_pos[i], c = assume_col[i], have = colour_at(s, p);
         if (have == c)
             continue;
-        if (have >= 0 || !propagate(s, p, c)) {
-            s->status = ST_EXHAUSTED;
-            return s;
-        }
+        if (have >= 0 || !propagate(s, p, c))
+            return s->status = ST_EXHAUSTED;
     }
-    s->status = push_frame(s, 0) ? ST_PAUSED : ST_FOUND;
-    return s;
+    return s->status = push_frame(s, 0) ? ST_PAUSED : ST_FOUND;
 }

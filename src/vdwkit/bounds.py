@@ -122,8 +122,9 @@ def check_theorem(
     Values resolve through the registry unless supplied explicitly.
     Condition 1: W(r, k) > W(r, k') with k > k'.
     Condition 2: log_r W(r, k') < n, checked as floor_log(W(r, k'), r) < n.
-    Condition 3: k' in [3, sqrt(n+1)), checked as k' >= 3 and k'*k' < n+1;
-    vacuous when n + 1 <= 9 since the interval then contains no integer.
+    Condition 3: k' in [3, sqrt(n+1)), checked as k'*k' < n+1 since k'
+    must be an integer >= 3; vacuous when n + 1 <= 9 since the interval
+    then contains no integer.
     Conclusion: W(r, k) < r**(n+1) <= r**(k*k); the first comparison holds
     by definition of n, so the verdict is exactly n + 1 <= k*k.
     """
@@ -134,6 +135,9 @@ def check_theorem(
     n_prime = None
     cond1 = cond2 = cond3 = None
     if k_prime is not None:
+        # a bool is an int to isinstance
+        if isinstance(k_prime, bool) or not isinstance(k_prime, int) or k_prime < 3:
+            raise ValueError(f"need an integer k_prime >= 3, got k_prime={k_prime!r}")
         if k_prime >= k:
             raise ValueError(f"need k_prime < k, got k_prime={k_prime!r}, k={k!r}")
         wp = _resolve(r, k_prime, w_prime, registry)
@@ -141,7 +145,7 @@ def check_theorem(
         cond1 = w_val > wp and k > k_prime
         cond2 = n_prime < n
         if not vacuous:
-            cond3 = k_prime >= 3 and k_prime * k_prime < n + 1
+            cond3 = k_prime * k_prime < n + 1
         w_prime = wp
 
     k_bound = k * k >= n + 1

@@ -46,6 +46,14 @@ MODES = (MODE_WITNESS_PROOF, MODE_CANONICAL)
 # seconds for them at long lengths
 _STEP = 1024
 
+# the calling thread searches a length alone, _SOLO_STEP decisions at a
+# time, until the length has taken _SOLO_SECONDS; only then do the helper
+# threads start.  Most short lengths end first: W(2,3), W(3,3) and W(2,4)
+# take a fraction of a millisecond per length, less than starting and
+# joining a thread costs
+_SOLO_STEP = 64
+_SOLO_SECONDS = 1e-3
+
 # power_residue_witness tries primes below this; it covers the p = 37
 # (W(4,3), W(2,5)) and p = 139 (W(2,6)) constructions in about 0.1 s
 _WITNESS_PRIMES = 256
@@ -310,8 +318,8 @@ class _Budget:
             self._pool += unused
 
 
-def _run_single(run, budget: _Budget, should_abort):
-    """Drive one kernel run _STEP decisions at a time until a verdict or
+def _run_single(run, budget: _Budget, should_abort, pace):
+    """Drive one kernel run, pace() decisions at a time, until a verdict or
     the budget dies.
 
     Returns ST_FOUND, ST_EXHAUSTED, or None for an undecided stop.
@@ -319,7 +327,7 @@ def _run_single(run, budget: _Budget, should_abort):
     while True:
         if budget.out_of_time() or should_abort():
             return None
-        quota = budget.draw(_STEP)
+        quota = budget.draw(pace())
         if quota <= 0:
             return None
         before = run.nodes
@@ -448,69 +456,93 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     """Search length T.  Returns (verdict, colors, nodes, max_depth) with
     verdict ST_FOUND, ST_EXHAUSTED, or None when the budget stopped it.
 
-    The length is cut into the cubes of search_cubes.  The calling thread
-    is one worker and min(workers, cubes) - 1 helper threads join it; each
-    worker claims the next cube in order until none is left, so one worker
-    (the Python engine always) starts no thread.  A cube that finds a
-    coloring makes the later ones moot; the earliest finding cube wins, so
-    a search that runs to a verdict returns the same coloring for any
-    worker count.  The length is exhausted when every cube of search_cubes
-    is.  An exception in any worker, an interrupt of the calling thread
-    included, stops every worker at its next step; it is raised once the
-    helpers have finished.
+    The length is cut into the cubes of search_cubes, and each worker
+    claims the next cube in order until none is left.  The calling thread
+    is a worker, at first the only one: it steps _SOLO_STEP decisions at a
+    time, and once the length has taken _SOLO_SECONDS it starts
+    min(workers, cubes) - 1 helper threads.  So a short length, and any
+    length on one worker (the Python engine always), starts no thread.
+    Each worker opens one kernel run and re-roots it for each cube it
+    claims; the run is freed on the thread that opened it.  A cube that
+    finds a coloring makes the later ones moot; the earliest finding cube
+    wins, so a search that runs to a verdict returns the same coloring for
+    any worker count.  The length is exhausted when every cube of
+    search_cubes is.  An exception in any worker, an interrupt of the
+    calling thread included, stops every worker at its next step; it is
+    raised once the helpers have finished.
     """
+    solo_end = time.perf_counter() + _SOLO_SECONDS
     cubes = search_cubes(r, T, order)
     lock = threading.Lock()
     claims = iter(range(len(cubes)))
     best_found = [len(cubes)]  # smallest cube index that found a coloring
     errors: list[BaseException] = []  # any entry stops every worker
-    # (status, nodes, max_depth, colors) per opened cube; the run itself
-    # is dropped so that its kernel state is freed
+    # (status, nodes, max_depth, colors) per opened cube
     results: list = [None] * len(cubes)
+    helpers: list[threading.Thread] = []
+    wanted = min(workers, len(cubes)) - 1  # helpers not started yet
 
     def moot(idx: int) -> bool:
         with lock:
             return bool(errors) or best_found[0] < idx
 
-    def task(idx: int) -> None:
+    def caller_pace() -> int:
+        """The calling thread's next step: short while it is alone and
+        the length is young, else _STEP, the helpers started first."""
+        nonlocal wanted
+        if not wanted:
+            return _STEP
+        if time.perf_counter() < solo_end:
+            return _SOLO_STEP
+        for _ in range(wanted):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        wanted = 0
+        return _STEP
+
+    def task(idx: int, run, pace):
+        """Search cube idx on run, opening one when run is None; returns
+        the run."""
         # the cube's pattern node comes from the pool, so a node budget
         # caps the reported nodes
         if moot(idx) or budget.out_of_time() or not budget.draw(1):
-            return
-        run = open_run(engine, r, k, T, order, cubes[idx])
-        status = _run_single(run, budget, should_abort=lambda: moot(idx))
+            return run
+        if run is None:
+            run = open_run(engine, r, k, T, order, cubes[idx])
+        else:
+            run.root(cubes[idx])
+        status = _run_single(run, budget, lambda: moot(idx), pace)
         colors = run.coloring() if status == ST_FOUND else None
         results[idx] = (status, 1 + run.nodes, run.max_depth, colors)
         if status == ST_FOUND:
             with lock:
                 best_found[0] = min(best_found[0], idx)
+        return run
 
     def stop(exc: BaseException) -> None:
         with lock:
             errors.append(exc)
 
-    def work() -> None:
+    def work(pace=lambda: _STEP) -> None:
+        # this worker's run, local so that it is freed on this thread
+        run = None
         try:
             while True:
                 with lock:
                     idx = None if errors else next(claims, None)
                 if idx is None:
                     return
-                task(idx)
+                run = task(idx, run, pace)
         except BaseException as exc:
             stop(exc)
 
-    helpers: list[threading.Thread] = []
     try:
-        for _ in range(min(workers, len(cubes)) - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
+        work(caller_pace)
         for helper in helpers:
             helper.join()
     except BaseException as exc:
-        # an interrupt outside work(): while starting or joining helpers
+        # an interrupt outside work(): while joining helpers
         stop(exc)
         for helper in helpers:
             helper.join()
@@ -554,8 +586,10 @@ def compute_vdw(
     deterministic: the same for either engine and any worker count.
 
     workers defaults to the CPU count, the calling thread being one of
-    them; the Python engine runs on the calling thread alone, since
-    threads cannot overlap its bytecode.  max_length stops the climb at
+    them.  The others join a length only once it has run for
+    _SOLO_SECONDS, so short lengths run on the calling thread alone, and
+    so does the Python engine, since threads cannot overlap its
+    bytecode.  max_length stops the climb at
     that length and reports a lower bound.  When a registry is supplied,
     an exact result is recorded in it.
     """

@@ -91,6 +91,12 @@ class TestCheckTheorem:
         with pytest.raises(ValueError, match="k_prime < k"):
             check_theorem(2, 4, 4, registry=registry)
 
+    @pytest.mark.parametrize("k_prime", [3.0, True, "3", 0, 2, -1])
+    def test_k_prime_must_be_an_integer_of_at_least_three(self, registry, k_prime):
+        with pytest.raises(ValueError, match="k_prime >= 3") as info:
+            check_theorem(2, 6, k_prime, registry=registry)
+        assert f"k_prime={k_prime!r}" in str(info.value)
+
     def test_unknown_pair_needs_explicit_value(self, registry):
         with pytest.raises(LookupError, match=r"W\(5, 3\)"):
             check_theorem(5, 3, registry=registry)

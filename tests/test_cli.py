@@ -146,6 +146,17 @@ class TestTheoremCommand:
         code, _, err = run(capsys, "theorem", "--r", "2", "--k", "6", "--k-prime", "7")
         assert code == 2 and "k_prime < k" in err
 
+    @pytest.mark.parametrize("k_prime", ["0", "2"])
+    def test_k_prime_below_three_is_a_usage_error(self, capsys, k_prime):
+        code, _, err = run(capsys, "theorem", "--r", "2", "--k", "6", "--k-prime", k_prime)
+        assert code == 2 and f"k_prime={k_prime}" in err
+
+    def test_non_integer_k_prime_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(capsys, "theorem", "--r", "2", "--k", "6", "--k-prime", "3.0")
+        assert info.value.code == 2
+        assert "--k-prime" in capsys.readouterr().err
+
     def test_false_conclusion_exits_one(self, capsys, tmp_path):
         # an extension value with floor log 9 breaks n+1 <= 9 for k = 3
         path = tmp_path / "big.txt"

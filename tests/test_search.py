@@ -1,4 +1,5 @@
 """Search engine, certificates, budgets, and the file format."""
+import ctypes
 import itertools
 import random
 import re
@@ -77,6 +78,21 @@ def compiled_engine():
     itself."""
     assert compiled_library() is not None, "compiled kernel failed to build"
     return "jit"
+
+
+@pytest.fixture
+def helpers_started(monkeypatch):
+    """The threads a search starts, collected as they are made."""
+    started = []
+    real = threading.Thread
+
+    def counting(*args, **kwargs):
+        thread = real(*args, **kwargs)
+        started.append(thread)
+        return thread
+
+    monkeypatch.setattr(search.threading, "Thread", counting)
+    return started
 
 
 class TestOracle:
@@ -197,19 +213,25 @@ class TestComputeVdw:
     # canonical certificate, which is the lexicographically first one;
     # with more workers than cores and the interpreter switching threads
     # about every microsecond, a lost update to the shared winner or cube
-    # claims would change the certificate
+    # claims would change the certificate.  With no solo phase the helpers
+    # start at every length, however short
     @pytest.mark.parametrize("r, k", [(2, 4), (3, 3)])
-    def test_parallel_matches_canonical(self, warm_engine, r, k):
+    def test_parallel_matches_canonical(
+        self, warm_engine, monkeypatch, helpers_started, r, k
+    ):
         canonical = compute_vdw(r, k, mode="canonical", workers=1)
         assert canonical.status == "exact"
         assert "".join(map(str, canonical.certificate.colors)) == LEX_FIRST[(r, k)]
+        monkeypatch.setattr(search, "_SOLO_SECONDS", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (2, 4, 8):
+                helpers_started.clear()
                 parallel = compute_vdw(r, k, mode="canonical", workers=workers)
                 assert (parallel.status, parallel.value) == (canonical.status, canonical.value)
                 assert parallel.certificate.colors == canonical.certificate.colors
+                assert helpers_started, workers
         finally:
             sys.setswitchinterval(interval)
 
@@ -256,32 +278,50 @@ class TestComputeVdw:
         assert calls == [(2, 3)]
         assert first.certificate == second.certificate
 
-    def test_worker_errors_reach_the_caller(self, warm_engine, monkeypatch):
+    # each worker opens one run per length and re-roots it for every later
+    # cube, so with no solo phase the second open is the helper's first
+    def test_worker_errors_reach_the_caller(
+        self, warm_engine, monkeypatch, helpers_started
+    ):
         lock = threading.Lock()
-        opened = []
+        opened, openers, rooted = [], [], []
         real_open = search.open_run
 
         def failing_open(engine, r, k, T, order, assumptions=()):
             with lock:
                 opened.append(T)
+                openers.append(threading.current_thread())
                 if len(opened) == 2:
                     raise RuntimeError("second cube refused")
             return real_open(engine, r, k, T, order, assumptions)
 
+        for run_class in (_engine.CompiledRun, _engine.PythonRun):
+            def counting_root(run, assumptions=(), real_root=run_class.root):
+                rooted.append(assumptions)
+                real_root(run, assumptions)
+
+            monkeypatch.setattr(run_class, "root", counting_root)
         monkeypatch.setattr(search, "open_run", failing_open)
+        monkeypatch.setattr(search, "_SOLO_SECONDS", 0)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="second cube refused"):
             compute_vdw(3, 3, workers=2)
         assert threading.active_count() == threads
+        assert len(helpers_started) == 1
+        assert openers[1] is helpers_started[0]
         # the other worker stops at its next step instead of running the
         # cubes still waiting
         assert len(opened) < len(search_cubes(3, opened[0], ORDER_MOST_BLOCKED))
+        assert len(rooted) < len(search_cubes(3, opened[0], ORDER_MOST_BLOCKED))
 
     # the helper's cube never ends by itself; the error on the calling
-    # thread must stop it at its next step
+    # thread, raised in the caller's first step once the solo phase (none
+    # here) has started the helper, must stop it at its next step
     @needs_compiler
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_an_error_stops_the_cube_in_flight(self, warm_engine, monkeypatch, error):
+    def test_an_error_stops_the_cube_in_flight(
+        self, warm_engine, monkeypatch, helpers_started, error
+    ):
         caller = threading.current_thread()
         stepping, raised = threading.Event(), threading.Event()
         steps_after = []
@@ -290,6 +330,10 @@ class TestComputeVdw:
             nodes = max_depth = 0
 
             def step(self, quota):
+                if threading.current_thread() is caller:
+                    stepping.wait(5)
+                    raised.set()
+                    raise error("stop")
                 stepping.set()
                 if raised.is_set():
                     steps_after.append(quota)
@@ -297,20 +341,39 @@ class TestComputeVdw:
                 self.nodes += quota
                 return ST_EXHAUSTED if len(steps_after) >= 100 else ST_PAUSED
 
-        def open_run(*args, **kwargs):
-            if threading.current_thread() is not caller:
-                return EndlessRun()
-            stepping.wait(5)
-            raised.set()
-            raise error("stop")
-
-        monkeypatch.setattr(search, "open_run", open_run)
+        monkeypatch.setattr(search, "open_run", lambda *args, **kwargs: EndlessRun())
+        monkeypatch.setattr(search, "_SOLO_SECONDS", 0)
         threads = threading.active_count()
         with pytest.raises(error):
             compute_vdw(3, 3, workers=2, engine=compiled_engine())
         assert threading.active_count() == threads
+        assert len(helpers_started) == 1
         assert stepping.is_set()
         assert len(steps_after) <= 2
+
+    # the calling thread searches each length alone until it has taken
+    # _SOLO_SECONDS, and these lengths end well before that.  One that the
+    # machine stalls past it does start a helper, so each pair has three
+    # tries
+    def test_short_lengths_start_no_thread(self, warm_engine, helpers_started):
+        for r, k, value in [(2, 3, 9), (2, 4, 35)]:
+            for _ in range(3):
+                helpers_started.clear()
+                outcome = compute_vdw(r, k, workers=2)
+                assert (outcome.status, outcome.value) == ("exact", value)
+                if not helpers_started:
+                    break
+            assert not helpers_started, (r, k)
+
+    def test_helpers_join_once_the_solo_phase_is_over(
+        self, warm_engine, monkeypatch, helpers_started
+    ):
+        monkeypatch.setattr(search, "_SOLO_SECONDS", 0)
+        outcome = compute_vdw(3, 3, workers=2)
+        assert (outcome.status, outcome.value) == ("exact", 27)
+        assert outcome.stats.nodes == 383
+        # one length, T = 27, past the 26-long witness
+        assert len(helpers_started) == 1
 
     def test_one_worker_starts_no_thread(self, warm_engine, monkeypatch):
         def refuse(*args, **kwargs):
@@ -356,6 +419,10 @@ class TestComputeVdw:
         for engine in engines:
             with pytest.raises(ValueError, match="root assumption"):
                 open_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED, [assumption])
+            # a run re-rooted makes the same check
+            run = open_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED)
+            with pytest.raises(ValueError, match="root assumption"):
+                run.root([assumption])
 
 
 class TestCompiledKernel:
@@ -423,6 +490,39 @@ class TestCompiledKernel:
         )
         assert proc.returncode == 0, proc.stderr
 
+    # an undeclared function would get ctypes' default of C ints, so a
+    # 64-bit run handle would be cut to 32 bits
+    @needs_compiler
+    def test_every_exported_function_is_declared(self):
+        c_types = {
+            "int": ctypes.c_int,
+            "long long": ctypes.c_longlong,
+            "void": None,
+            "run_t *": ctypes.c_void_p,
+            "int *": ctypes.POINTER(ctypes.c_int),
+        }
+
+        def c_type(decl):
+            # drop const and normalise the spacing
+            decl = " ".join(re.sub(r"\bconst\b", "", decl).split())
+            return c_types[re.sub(r"\s*\*", " *", decl)]
+
+        definitions = re.findall(
+            r"^(?!static\b)([A-Za-z_][\w ]*?[\s*]+)(\w+)\(([^)]*)\)\s*\{",
+            _engine._SOURCE.read_text(),
+            re.M,
+        )
+        names = [name for _, name, _ in definitions]
+        assert {"vdw_new", "vdw_root", "vdw_step", "vdw_free"} <= set(names)
+        lib = compiled_library()
+        for returns, name, params in definitions:
+            fn = getattr(lib, name)
+            assert fn.restype is c_type(returns), name
+            # each parameter less its name
+            declared = [re.sub(r"\w+\s*$", "", decl) for decl in params.split(",")]
+            assert fn.argtypes is not None, name
+            assert list(fn.argtypes) == [c_type(decl) for decl in declared], name
+
     def test_status_and_order_constants_match_the_kernel(self):
         defines = re.findall(
             r"^#define ((?:ST|ORDER)_\w+)\s+(\S+)", _engine._SOURCE.read_text(), re.M
@@ -484,7 +584,49 @@ class TestKernelSoundness:
                     if order == ORDER_LOWEST:
                         assert found == reference, where
 
-    @pytest.mark.parametrize("r, T", [(2, 3), (2, 35), (3, 27), (4, 76), (2, 178)])
+    # one run re-rooted through every cube of a length, as each worker
+    # does, against a fresh run per cube, after every step; the re-rooted
+    # run leaves cubes found, exhausted and paused.  A case is (r, k, T,
+    # quota, steps per cube); the quotas and step counts keep the
+    # reference quick
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            [(3, 3, 26, 4, 10), (3, 3, 27, 4, 10)],
+            [(2, 4, 34, 8, 10), (2, 5, 178, 100, 2), (2, 6, 697, 30, 2)],
+        ],
+        ids=["mask", "counter"],
+    )
+    def test_a_rerooted_run_matches_a_fresh_one(self, warm_engine, cases):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+        for engine in engines:
+            left = set()  # statuses at which the run was re-rooted
+            for r, k, T, quota, steps in cases:
+                run = None
+                for cube in search_cubes(r, T, ORDER_MOST_BLOCKED):
+                    fresh = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
+                    if run is None:
+                        run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
+                    else:
+                        left.add(status)
+                        run.root(cube)
+                    where = f"engine={engine} T={T} cube={cube}"
+                    assert run.coloring() == fresh.coloring(), where
+                    for _ in range(steps):
+                        status = run.step(quota)
+                        assert (status, run.nodes, run.max_depth, run.coloring()) == (
+                            fresh.step(quota), fresh.nodes, fresh.max_depth,
+                            fresh.coloring()
+                        ), where
+                        if status != ST_PAUSED:
+                            break
+            assert left == {ST_FOUND, ST_EXHAUSTED, ST_PAUSED}, engine
+
+    # each r has an odd T, an even T and a T below the cube depth
+    @pytest.mark.parametrize(
+        "r, T",
+        [(2, 3), (2, 35), (3, 27), (4, 76), (2, 178), (3, 4), (3, 26), (4, 3), (4, 75)],
+    )
     def test_cubes_are_the_first_use_patterns(self, r, T):
         def first_use(d):
             return [
