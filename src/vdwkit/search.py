@@ -23,6 +23,7 @@ from ._engine import (
     ORDER_MOST_BLOCKED,
     ST_EXHAUSTED,
     ST_FOUND,
+    ST_PAUSED,
     open_run,
     resolve_engine,
     search_cubes,
@@ -116,13 +117,19 @@ class Coloring:
 
     Color values are kept as given, even out of range, so that defective
     certificates can be represented and then rejected by verification.
+    A color that is not an int, or is a bool, is refused: converting it
+    would let a certificate pass that is not the one supplied.
     """
 
     r: int
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        colors = tuple(self.colors)
+        for c in colors:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"color {c!r} is not an integer")
+        object.__setattr__(self, "colors", colors)
 
 
 @dataclass(frozen=True)
@@ -303,7 +310,10 @@ class _Budget:
         return self.deadline is not None and time.perf_counter() >= self.deadline
 
     def draw(self, want: int) -> int:
-        """Reserve up to want nodes; 0 means the pool is dry."""
+        """Reserve up to want nodes; 0 means the deadline has passed or the
+        pool is dry, so a worker reads the deadline only through here."""
+        if self.out_of_time():
+            return 0
         if self._pool is None:
             return want
         with self._lock:
@@ -316,25 +326,6 @@ class _Budget:
             return
         with self._lock:
             self._pool += unused
-
-
-def _run_single(run, budget: _Budget, should_abort, pace):
-    """Drive one kernel run, pace() decisions at a time, until a verdict or
-    the budget dies.
-
-    Returns ST_FOUND, ST_EXHAUSTED, or None for an undecided stop.
-    """
-    while True:
-        if budget.out_of_time() or should_abort():
-            return None
-        quota = budget.draw(pace())
-        if quota <= 0:
-            return None
-        before = run.nodes
-        status = run.step(quota)
-        budget.refund(quota - (run.nodes - before))
-        if status == ST_FOUND or status == ST_EXHAUSTED:
-            return status
 
 
 def _primes_below(n: int) -> list[int]:
@@ -456,17 +447,19 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     """Search length T.  Returns (verdict, colors, nodes, max_depth) with
     verdict ST_FOUND, ST_EXHAUSTED, or None when the budget stopped it.
 
-    The length is cut into the cubes of search_cubes, and each worker
-    claims the next cube in order until none is left.  The calling thread
-    is a worker, at first the only one: it steps _SOLO_STEP decisions at a
-    time, and once the length has taken _SOLO_SECONDS it starts
-    min(workers, cubes) - 1 helper threads.  So a short length, and any
-    length on one worker (the Python engine always), starts no thread.
-    Each worker opens one kernel run and re-roots it for each cube it
-    claims; the run is freed on the thread that opened it.  A cube that
-    finds a coloring makes the later ones moot; the earliest finding cube
-    wins, so a search that runs to a verdict returns the same coloring for
-    any worker count.  The length is exhausted when every cube of
+    The length is cut into the cubes of search_cubes, and every worker
+    runs work(): it claims the next cube in order, opens its kernel run
+    for its first cube or re-roots it for a later one, and steps the run
+    until a verdict, until the cube is moot or until budget.draw, which
+    also reads the deadline, grants nothing.  The run is freed on the
+    thread that opened it.  The calling thread is a worker, at first the
+    only one: it steps _SOLO_STEP decisions at a time, and once the
+    length has taken _SOLO_SECONDS it starts min(workers, cubes) - 1
+    helper threads.  So a short length, and any length on one worker (the
+    Python engine always), starts no thread.  A cube that finds a
+    coloring makes the later ones moot; the earliest finding cube wins,
+    so a search that runs to a verdict returns the same coloring for any
+    worker count.  The length is exhausted when every cube of
     search_cubes is.  An exception in any worker, an interrupt of the
     calling thread included, stops every worker at its next step; it is
     raised once the helpers have finished.
@@ -475,56 +468,15 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     cubes = search_cubes(r, T, order)
     lock = threading.Lock()
     claims = iter(range(len(cubes)))
-    best_found = [len(cubes)]  # smallest cube index that found a coloring
+    best_found = len(cubes)  # smallest cube index that found a coloring
     errors: list[BaseException] = []  # any entry stops every worker
-    # (status, nodes, max_depth, colors) per opened cube
+    # (status, nodes, max_depth, colors) per opened cube, ST_PAUSED if undecided
     results: list = [None] * len(cubes)
     helpers: list[threading.Thread] = []
     wanted = min(workers, len(cubes)) - 1  # helpers not started yet
 
-    def moot(idx: int) -> bool:
-        with lock:
-            return bool(errors) or best_found[0] < idx
-
-    def caller_pace() -> int:
-        """The calling thread's next step: short while it is alone and
-        the length is young, else _STEP, the helpers started first."""
-        nonlocal wanted
-        if not wanted:
-            return _STEP
-        if time.perf_counter() < solo_end:
-            return _SOLO_STEP
-        for _ in range(wanted):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        wanted = 0
-        return _STEP
-
-    def task(idx: int, run, pace):
-        """Search cube idx on run, opening one when run is None; returns
-        the run."""
-        # the cube's pattern node comes from the pool, so a node budget
-        # caps the reported nodes
-        if moot(idx) or budget.out_of_time() or not budget.draw(1):
-            return run
-        if run is None:
-            run = open_run(engine, r, k, T, order, cubes[idx])
-        else:
-            run.root(cubes[idx])
-        status = _run_single(run, budget, lambda: moot(idx), pace)
-        colors = run.coloring() if status == ST_FOUND else None
-        results[idx] = (status, 1 + run.nodes, run.max_depth, colors)
-        if status == ST_FOUND:
-            with lock:
-                best_found[0] = min(best_found[0], idx)
-        return run
-
-    def stop(exc: BaseException) -> None:
-        with lock:
-            errors.append(exc)
-
-    def work(pace=lambda: _STEP) -> None:
+    def work() -> None:
+        nonlocal best_found, wanted
         # this worker's run, local so that it is freed on this thread
         run = None
         try:
@@ -533,17 +485,47 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
                     idx = None if errors else next(claims, None)
                 if idx is None:
                     return
-                run = task(idx, run, pace)
+                # the cube's pattern node comes from the pool, so a node
+                # budget caps the reported nodes
+                if best_found < idx or not budget.draw(1):
+                    continue
+                if run is None:
+                    run = open_run(engine, r, k, T, order, cubes[idx])
+                else:
+                    run.root(cubes[idx])
+                status = ST_PAUSED
+                while status == ST_PAUSED and not errors and best_found >= idx:
+                    if wanted and time.perf_counter() >= solo_end:
+                        # zero first: a helper that read a nonzero count
+                        # would start helpers of its own
+                        count, wanted = wanted, 0
+                        for _ in range(count):
+                            helper = threading.Thread(target=work)
+                            helper.start()
+                            helpers.append(helper)
+                    quota = budget.draw(_SOLO_STEP if wanted else _STEP)
+                    if not quota:
+                        break
+                    before = run.nodes
+                    status = run.step(quota)
+                    budget.refund(quota - (run.nodes - before))
+                colors = run.coloring() if status == ST_FOUND else None
+                results[idx] = (status, 1 + run.nodes, run.max_depth, colors)
+                if status == ST_FOUND:
+                    with lock:
+                        best_found = min(best_found, idx)
         except BaseException as exc:
-            stop(exc)
+            with lock:
+                errors.append(exc)
 
     try:
-        work(caller_pace)
+        work()
         for helper in helpers:
             helper.join()
     except BaseException as exc:
         # an interrupt outside work(): while joining helpers
-        stop(exc)
+        with lock:
+            errors.append(exc)
         for helper in helpers:
             helper.join()
     if errors:
@@ -552,8 +534,8 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     opened = [res for res in results if res is not None]
     nodes = sum(res[1] for res in opened)
     max_depth = max((res[2] for res in opened), default=0)
-    if best_found[0] < len(cubes):
-        return ST_FOUND, results[best_found[0]][3], nodes, max_depth
+    if best_found < len(cubes):
+        return ST_FOUND, results[best_found][3], nodes, max_depth
     if all(res is not None and res[0] == ST_EXHAUSTED for res in results):
         return ST_EXHAUSTED, None, nodes, max_depth
     return None, None, nodes, max_depth
@@ -589,8 +571,10 @@ def compute_vdw(
     them.  The others join a length only once it has run for
     _SOLO_SECONDS, so short lengths run on the calling thread alone, and
     so does the Python engine, since threads cannot overlap its
-    bytecode.  max_length stops the climb at
-    that length and reports a lower bound.  When a registry is supplied,
+    bytecode.  Workers read the deadline through the node pool
+    (_Budget.draw).  Every stop reports value = frontier + 1: exact when
+    that length was exhausted, else a lower bound, when the budget ran
+    out or the climb reached max_length.  When a registry is supplied,
     an exact result is recorded in it.
     """
     budget = budget or SearchBudget()
@@ -612,6 +596,13 @@ def compute_vdw(
         raise ValueError(f"max_length {max_length} below the shortest target {k}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got workers={workers}")
+    seconds = budget.max_seconds
+    if seconds is not None and (
+        isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+    ):
+        raise ValueError(
+            f"max_seconds must be an int or a float, got max_seconds={seconds!r}"
+        )
     for name in ("max_seconds", "max_nodes"):
         limit = getattr(budget, name)
         # not >= also rejects a NaN time budget, which would never expire
@@ -636,28 +627,22 @@ def compute_vdw(
         frontier_colors = frontier_colors[:max_length]
     total_nodes = max_depth = 0
 
-    while True:
-        frontier = len(frontier_colors)
-        if max_length is not None and frontier >= max_length:
-            status, value = STATUS_LOWER_BOUND, frontier + 1
-            break
-        T = frontier + 1
+    while max_length is None or len(frontier_colors) < max_length:
         verdict, colors, nodes, depth = _search_target(
-            r, k, T, order, tracker, engine, workers
+            r, k, len(frontier_colors) + 1, order, tracker, engine, workers
         )
         total_nodes += nodes
         max_depth = max(max_depth, depth)
-        if verdict == ST_FOUND:
-            frontier_colors = colors
-            continue
-        if verdict == ST_EXHAUSTED:
-            status, value = STATUS_EXACT, T
+        if verdict != ST_FOUND:
+            status = STATUS_EXACT if verdict == ST_EXHAUSTED else STATUS_BUDGET
             break
-        status, value = STATUS_BUDGET, frontier + 1
-        break
+        frontier_colors = colors
+    else:
+        status = STATUS_LOWER_BOUND
 
     elapsed = time.perf_counter() - start
-    cert = Certificate(r, k, frontier, Coloring(r, tuple(frontier_colors)))
+    value = len(frontier_colors) + 1
+    cert = Certificate(r, k, value - 1, Coloring(r, tuple(frontier_colors)))
     outcome = SearchOutcome(
         r=r,
         k=k,

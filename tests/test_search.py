@@ -365,15 +365,18 @@ class TestComputeVdw:
                     break
             assert not helpers_started, (r, k)
 
+    # one length, T = 27, past the 26-long witness; only the calling thread
+    # starts helpers, so a helper that started its own would show here
+    @pytest.mark.parametrize("workers", [2, 4])
     def test_helpers_join_once_the_solo_phase_is_over(
-        self, warm_engine, monkeypatch, helpers_started
+        self, warm_engine, monkeypatch, helpers_started, workers
     ):
         monkeypatch.setattr(search, "_SOLO_SECONDS", 0)
-        outcome = compute_vdw(3, 3, workers=2)
+        outcome = compute_vdw(3, 3, workers=workers)
         assert (outcome.status, outcome.value) == ("exact", 27)
         assert outcome.stats.nodes == 383
-        # one length, T = 27, past the 26-long witness
-        assert len(helpers_started) == 1
+        cubes = len(search_cubes(3, 27, ORDER_MOST_BLOCKED))
+        assert len(helpers_started) == min(workers, cubes) - 1
 
     def test_one_worker_starts_no_thread(self, warm_engine, monkeypatch):
         def refuse(*args, **kwargs):
@@ -412,6 +415,13 @@ class TestComputeVdw:
             for count in (100.0, 1.5, True):
                 with pytest.raises(ValueError, match="max_nodes must be an integer"):
                     compute_vdw(2, 4, SearchBudget(max_nodes=count), engine=engine)
+            # True would run as a 1 s budget, "1" fail in the comparison
+            for seconds in ("1", True, False):
+                with pytest.raises(ValueError, match="max_seconds must be an int or a float"):
+                    compute_vdw(2, 4, SearchBudget(max_seconds=seconds), engine=engine)
+            for seconds in (-2, float("nan")):
+                with pytest.raises(ValueError, match="max_seconds must be a number >= 0"):
+                    compute_vdw(2, 4, SearchBudget(max_seconds=seconds), engine=engine)
 
     @pytest.mark.parametrize("assumption", [(-1, 0), (10, 0), (0, 3)])
     def test_root_assumptions_outside_the_run_are_refused(self, assumption):
@@ -776,6 +786,13 @@ class TestVerifyCertificate:
 
     def test_empty_certificate_is_valid(self):
         assert verify_certificate(self.make(2, 3, []))
+
+    # int() would turn these into 1, 1 and 1, and (True, 0.9, 1) would
+    # then pass as the valid coloring (1, 0, 1)
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_non_integer_colors_are_refused(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            self.make(2, 3, [0, bad, 1])
 
 
 class TestCertificateFiles:
