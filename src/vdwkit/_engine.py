@@ -37,11 +37,12 @@ open frame.  So between steps a run shows its found coloring (FOUND),
 the fixpoint at which its deepest open frame was opened (PAUSED, a fresh
 run included), or nothing, every position -1 (EXHAUSTED).
 
-Branching order, fixed per run:
-  ORDER_LOWEST        decide the lowest free position.
-  ORDER_MOST_BLOCKED  decide the free position with the most
-                      blocked colors; ties go to the position nearest
-                      the middle of 0..T-1, the lower one on a tie.
+Branching order, fixed per run: a sequence of the positions and a stop
+count.  Decide the first free position in the sequence with the most
+blocked colors, taking one at once when its count reaches the stop.
+  ORDER_LOWEST        0, 1, ..., T-1 with stop 0: the lowest free position.
+  ORDER_MOST_BLOCKED  middle_out(T) with stop r-2, the most a free
+                      position can have, since r-1 would force it.
 Colors are tried in ascending order, skipping blocked ones, and capped
 at one past the largest color assigned so far.  Each color tried is one
 node.  max_depth is the most decisions on one branch, the deepest
@@ -189,7 +190,7 @@ class PythonRun:
     unit propagation with two watched members per negative clause."""
 
     def __init__(self, r: int, k: int, T: int, order: int, assumptions=()):
-        self.r, self.order = r, order
+        self.r = r
         self.members, watched, sums = _progressions(k, T)
         # watches[c][p]: the progressions whose clause in color c watches
         # p; pair[c][a]: the sum of the two positions that clause watches,
@@ -199,7 +200,11 @@ class PythonRun:
         self.col = [-1] * T
         self.false = [0] * T  # bit c: color c is blocked at this position
         self.trail: list[tuple[int, int]] = []  # (p, 0) colored, (p, bit) blocked
-        self.midout = middle_out(T)
+        # the branching order's sequence and stop count
+        if order == ORDER_MOST_BLOCKED:
+            self.sequence, self.enough = middle_out(T), r - 2
+        else:
+            self.sequence, self.enough = range(T), 0
         self.root(assumptions)
 
     def root(self, assumptions=()) -> None:
@@ -282,15 +287,11 @@ class PythonRun:
 
     def _select(self) -> int:
         """Next position to decide, or -1 when every position is colored."""
-        col = self.col
-        if self.order == ORDER_LOWEST:
-            return col.index(-1) if -1 in col else -1
-        best, best_nb = -1, -1
-        for p in self.midout:
-            if col[p] < 0 and self.false[p].bit_count() > best_nb:
-                best, best_nb = p, self.false[p].bit_count()
-                # a free position with r-1 blocked colors would be forced
-                if best_nb >= self.r - 2:
+        col, false, best, best_nb = self.col, self.false, -1, -1
+        for p in self.sequence:
+            if col[p] < 0 and false[p].bit_count() > best_nb:
+                best, best_nb = p, false[p].bit_count()
+                if best_nb >= self.enough:
                     break
         return best
 

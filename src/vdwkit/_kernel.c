@@ -13,8 +13,9 @@
  *             negative clause per progression and colour, watching two
  *             members not coloured in that colour, as the reference does;
  *             per position the blocked colours and their count; one trail
- *             of colourings and blocks, undone per decision, while the
- *             watches are never restored;
+ *             of colourings and blocks, undone per decision and walked as
+ *             the propagation queue (as in MiniSat), while the watches are
+ *             never restored;
  *   masks     k = 3 and T <= 128: 128-bit masks, saved whole at every
  *             decision level instead of trailed.  A frame holds 7r+1
  *             masks: per colour c the set B of positions where c is
@@ -25,6 +26,8 @@
  *             bit (q-1)/2 for odd q); per j = 1..r the set of positions
  *             with at least j colours blocked; then the set of free
  *             positions.
+ * Neither path stores the middle-out branching order: the counter path
+ * computes it from T, the mask path from the free mask.
  * Each path processes forced moves in its own order, and no caller sees
  * it: a step that pauses on its quota undoes to its deepest open frame,
  * and an exhausted run reports no colouring.
@@ -81,7 +84,6 @@ typedef struct {
     long long nodes;
     int *col;
     frame_t *frames;
-    int *midout;
     /* counter path: per progression a, ap[a * (r + 2)] holds its first
      * member, its step and, per colour c, the sum of the two members its
      * clause in c watches; watch[c] + wptr[p] holds the wlen[c * T + p]
@@ -89,7 +91,7 @@ typedef struct {
     int *ap, *wptr, **watch, *wlen;
     unsigned char *blocked;
     int *nblocked;
-    int *trail, trail_top, *queue, qtail;
+    int *trail, trail_top;
     /* mask path: cur holds one frame (see F_*), all the T-position mask */
     mask_t *cur, *saved, all;
 } run_t;
@@ -129,7 +131,6 @@ static void c_assign(run_t *s, int p, int c)
 {
     s->col[p] = c;
     s->trail[s->trail_top++] = ~p;
-    s->queue[s->qtail++] = p;
     if (c > s->maxused)
         s->maxused = c;
 }
@@ -156,17 +157,18 @@ static int c_unit(run_t *s, int o, int c)
     return nb < r;
 }
 
-/* Assign p := c and propagate to a fixpoint; 0 on a conflict.  The queue
- * holds the positions coloured in this propagation, in order.  A watch
- * list is compacted in place. */
+/* Assign p := c and propagate to a fixpoint; 0 on a conflict.  The trail
+ * from where this propagation began is its queue: its colourings, in
+ * order, between the blocks.  A watch list is compacted in place. */
 static int c_propagate(run_t *s, int p, int c)
 {
-    int r = s->r, k = s->k, T = s->T, head = 0;
+    int r = s->r, k = s->k, T = s->T, head = s->trail_top;
     size_t w = r + 2;
-    s->qtail = 0;
     c_assign(s, p, c);
-    while (head < s->qtail) {
-        int x = s->queue[head++], cx = s->col[x];
+    for (; head < s->trail_top; head++) {
+        if (s->trail[head] >= 0)
+            continue;
+        int x = ~s->trail[head], cx = s->col[x];
         int *watch = s->watch[cx], *wlen = s->wlen + cx * T;
         int *list = watch + s->wptr[x], n = wlen[x], kept = 0;
         for (int i = 0; i < n; i++) {
@@ -193,23 +195,21 @@ static int c_propagate(run_t *s, int p, int c)
     return 1;
 }
 
+/* The first free position of the branching order's sequence with the most
+ * blocked colours, taken at once when it has enough (see _engine).  Item i
+ * of middle_out(T) is h - j, or h + j when i and T differ in parity. */
 static int c_select(run_t *s)
 {
-    if (s->order == ORDER_LOWEST) {
-        for (int p = 0; p < s->T; p++)
-            if (s->col[p] < 0)
-                return p;
-        return -1;
-    }
-    int best = -1, bestnb = -1;
-    for (int i = 0; i < s->T; i++) {
-        int p = s->midout[i];
+    int T = s->T, h = (T - 1) / 2, midout = s->order == ORDER_MOST_BLOCKED;
+    /* a free position with r-1 blocked colours would have been forced */
+    int enough = midout ? s->r - 2 : 0, best = -1, bestnb = -1;
+    for (int i = 0; i < T; i++) {
+        int j = (i + 1) / 2, p = midout ? ((i ^ T) & 1 ? h + j : h - j) : i;
         if (s->col[p] >= 0 || s->nblocked[p] <= bestnb)
             continue;
         best = p;
         bestnb = s->nblocked[p];
-        /* a free position with r-1 blocked colours would have been forced */
-        if (bestnb >= s->r - 2)
+        if (bestnb >= enough)
             break;
     }
     return best;
@@ -437,8 +437,8 @@ void vdw_free(run_t *s)
         for (int c = 0; c < s->r; c++)
             free(s->watch[c]);
     void *blocks[] = {
-        s->col, s->frames, s->midout, s->ap, s->wptr, s->watch, s->wlen,
-        s->blocked, s->nblocked, s->trail, s->queue, s->cur, s->saved,
+        s->col, s->frames, s->ap, s->wptr, s->watch, s->wlen,
+        s->blocked, s->nblocked, s->trail, s->cur, s->saved,
     };
     for (size_t i = 0; i < sizeof blocks / sizeof blocks[0]; i++)
         free(blocks[i]);
@@ -467,9 +467,8 @@ static int build_watches(run_t *s)
     /* a position enters the trail at most r times: each colour blocked
      * once while it is free, and r-1 blocks colour it */
     s->trail = malloc((size_t)T * (r + 1) * sizeof(int));
-    s->queue = malloc(T * sizeof(int));
     if (!s->ap || !s->wptr || !s->watch || !s->wlen || !s->blocked
-        || !s->nblocked || !s->trail || !s->queue)
+        || !s->nblocked || !s->trail)
         return 0;
     for (int c = 0; c < r; c++)
         if (!(s->watch[c] = malloc(((size_t)n * k + 1) * sizeof(int))))
@@ -523,25 +522,12 @@ run_t *vdw_new(int r, int k, int T, int order)
     s->masks = k == 3 && T <= 128;
     s->col = malloc(T * sizeof(int));
     s->frames = malloc((T + 1) * sizeof(frame_t));
-    s->midout = malloc(T * sizeof(int));
-    if (!s->col || !s->frames || !s->midout
-        || !(s->masks ? build_masks(s) : build_watches(s))) {
+    if (!s->col || !s->frames || !(s->masks ? build_masks(s) : build_watches(s))) {
         vdw_free(s);
         return NULL;
     }
     for (int p = 0; p < T; p++)
         s->col[p] = -1;
-    int n = 0, lo = (T - 1) / 2, hi = T / 2;
-    if (lo == hi) {
-        s->midout[n++] = lo--;
-        hi++;
-    }
-    while (n < T) {
-        if (lo >= 0)
-            s->midout[n++] = lo--;
-        if (hi < T)
-            s->midout[n++] = hi++;
-    }
     return s;
 }
 

@@ -128,6 +128,9 @@ def check_theorem(
     Conclusion: W(r, k) < r**(n+1) <= r**(k*k); the first comparison holds
     by definition of n, so the verdict is exactly n + 1 <= k*k.
     """
+    # an explicit w skips the registry, which also checks k
+    if not isinstance(k, int) or isinstance(k, bool) or k < 3:
+        raise ValueError(f"need an integer k >= 3, got k={k!r}")
     w_val = _resolve(r, k, w, registry)
     n = radix.floor_log(w_val, r)
     vacuous = n + 1 <= 9

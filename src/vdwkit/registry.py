@@ -90,8 +90,10 @@ class Registry:
 
     def lookup(self, r: int, k: int) -> VdwRecord | None:
         """The record for (r, k), or None when the pair is unknown."""
-        if r < 2 or k < 3:
-            raise ValueError(f"need r >= 2 and k >= 3, got r={r!r}, k={k!r}")
+        # 2.0 would hash as 2 and find W(2, k); a bool is an int to isinstance
+        for name, value, least in (("r", r, 2), ("k", k, 3)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"need an integer {name} >= {least}, got {name}={value!r}")
         return self._records.get((r, k))
 
     def upsert_search_result(self, record: VdwRecord) -> VdwRecord:

@@ -97,6 +97,13 @@ class TestCheckTheorem:
             check_theorem(2, 6, k_prime, registry=registry)
         assert f"k_prime={k_prime!r}" in str(info.value)
 
+    # an explicit w bypasses the registry, so check_theorem checks k itself
+    @pytest.mark.parametrize("k, w", [(-5, 16), (2, 16), (6.5, 1132), (True, 9)])
+    def test_k_must_be_an_integer_of_at_least_three(self, registry, k, w):
+        with pytest.raises(ValueError, match="k >= 3") as info:
+            check_theorem(2, k, w=w, registry=registry)
+        assert f"k={k!r}" in str(info.value)
+
     def test_unknown_pair_needs_explicit_value(self, registry):
         with pytest.raises(LookupError, match=r"W\(5, 3\)"):
             check_theorem(5, 3, registry=registry)

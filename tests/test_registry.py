@@ -3,6 +3,8 @@ import threading
 
 import pytest
 
+from vdwkit.bounds import check_theorem
+from vdwkit.ratio import analyze
 from vdwkit.registry import (
     KNOWN_VALUES,
     PAPER_TABLE,
@@ -91,6 +93,24 @@ class TestLookup:
     def test_domain_errors(self, registry, r, k):
         with pytest.raises(ValueError):
             registry.lookup(r, k)
+
+    # 2.0 hashes as 2, so a float equal to a stored key would find it; the
+    # callers that resolve through lookup refuse the same arguments
+    @pytest.mark.parametrize(
+        "call",
+        [Registry.lookup, lambda reg, r, k: check_theorem(r, k, registry=reg),
+         lambda reg, r, k: analyze(r, k, registry=reg)],
+        ids=["lookup", "check_theorem", "analyze"],
+    )
+    @pytest.mark.parametrize(
+        "r, k, named",
+        [(2.0, 3, "r=2.0"), (2, 6.0, "k=6.0"), (True, 3, "r=True"),
+         (2, True, "k=True"), ("2", 3, "r='2'")],
+    )
+    def test_non_integers_are_refused(self, registry, call, r, k, named):
+        with pytest.raises(ValueError, match="need an integer") as info:
+            call(registry, r, k)
+        assert named in str(info.value)
 
 
 class TestUpsert:

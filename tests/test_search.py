@@ -594,6 +594,27 @@ class TestKernelSoundness:
                     if order == ORDER_LOWEST:
                         assert found == reference, where
 
+    # with k = T + 1 there are no progressions, so nothing is blocked or
+    # forced and each decision colors the next position of the branching
+    # order; T = 2 takes the mask path, every longer T the counter path
+    @pytest.mark.parametrize("engine", ["python", "jit"])
+    def test_decisions_follow_the_branching_order(self, warm_engine, engine):
+        if engine == "jit":
+            if not HAVE_COMPILER:
+                pytest.skip("no C compiler to build the compiled kernel")
+            engine = compiled_engine()
+        for T in range(2, 261):
+            for order, sequence in (
+                (ORDER_LOWEST, list(range(T))),
+                (ORDER_MOST_BLOCKED, middle_out(T)),
+            ):
+                run = open_run(engine, 2, T + 1, T, order)
+                for q in range(1, T):
+                    assert run.step(1) == ST_PAUSED
+                    colored = [p for p, c in enumerate(run.coloring()) if c >= 0]
+                    assert colored == sorted(sequence[:q]), (T, order, q)
+                assert run.step(1) == ST_FOUND
+
     # one run re-rooted through every cube of a length, as each worker
     # does, against a fresh run per cube, after every step; the re-rooted
     # run leaves cubes found, exhausted and paused.  A case is (r, k, T,
