@@ -1,4 +1,10 @@
-"""The one rule that turns a result record into plain JSON-ready data.
+"""The package's two shared rules: integer arguments and JSON-ready records.
+
+require_int is the one check of an integer argument: an int that is not
+a bool, and at least some floor when one is given.  A float such as 2.0
+is refused rather than truncated, since every verdict here is an integer
+statement.  The ValueError names the argument, and the CLI turns it into
+exit 2.
 
 Every result type is a frozen dataclass, and its as_dict() lists its
 fields in declared order (the CSV header order), with tuples as lists,
@@ -10,6 +16,19 @@ from __future__ import annotations
 import dataclasses
 import decimal
 from fractions import Fraction
+
+
+def require_int(name: str, value, least: int | None = None) -> int:
+    """Return value when it is an int, not a bool, and at least least."""
+    # a bool is an int to isinstance
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or least is not None and value < least
+    ):
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"need an integer {name}{floor}, got {name}={value!r}")
+    return value
 
 
 def rational_as_dict(q: Fraction, places: int = 6) -> dict:

@@ -18,16 +18,8 @@ import decimal
 from dataclasses import dataclass
 
 from . import radix
-from ._record import Record
+from ._record import Record, require_int
 from .registry import Registry, default_registry, stored_value
-
-
-def _resolve(r: int, k: int, w: int | None, registry: Registry | None) -> int:
-    if w is None:
-        return stored_value(r, k, registry)
-    if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-        raise ValueError(f"need a positive integer for W({r}, {k}), got {w!r}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -50,11 +42,9 @@ def verify_log_bound(r: int, k: int, w: int) -> LogBoundResult:
     accepted so the arithmetic counterexample (2, 2, 16) can be
     exercised directly.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 2:
-        raise ValueError(f"need r >= 2, got {r!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"need k >= 2, got {k!r}")
-    n = radix.floor_log(w, r)  # also validates w
+    require_int("r", r, 2)
+    require_int("k", k, 2)
+    n = radix.floor_log(require_int("w", w, 1), r)
     return LogBoundResult(n + 1 <= k * k, n + 1, k * k)
 
 
@@ -128,22 +118,24 @@ def check_theorem(
     Conclusion: W(r, k) < r**(n+1) <= r**(k*k); the first comparison holds
     by definition of n, so the verdict is exactly n + 1 <= k*k.
     """
-    # an explicit w skips the registry, which also checks k
-    if not isinstance(k, int) or isinstance(k, bool) or k < 3:
-        raise ValueError(f"need an integer k >= 3, got k={k!r}")
-    w_val = _resolve(r, k, w, registry)
+    # an explicit w skips the registry, which also checks r and k
+    require_int("r", r, 2)
+    require_int("k", k, 3)
+    w_val = stored_value(r, k, registry) if w is None else require_int("w", w, 1)
     n = radix.floor_log(w_val, r)
     vacuous = n + 1 <= 9
 
     n_prime = None
     cond1 = cond2 = cond3 = None
     if k_prime is not None:
-        # a bool is an int to isinstance
-        if isinstance(k_prime, bool) or not isinstance(k_prime, int) or k_prime < 3:
-            raise ValueError(f"need an integer k_prime >= 3, got k_prime={k_prime!r}")
+        require_int("k_prime", k_prime, 3)
         if k_prime >= k:
             raise ValueError(f"need k_prime < k, got k_prime={k_prime!r}, k={k!r}")
-        wp = _resolve(r, k_prime, w_prime, registry)
+        wp = (
+            stored_value(r, k_prime, registry)
+            if w_prime is None
+            else require_int("w_prime", w_prime, 1)
+        )
         n_prime = radix.floor_log(wp, r)
         cond1 = w_val > wp and k > k_prime
         cond2 = n_prime < n

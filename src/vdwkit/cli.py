@@ -45,6 +45,16 @@ def _dump_csv(rows: list[dict]) -> str:
     return out.getvalue()
 
 
+def _emit(args, payload, text: str, rows: list[dict] | None = None) -> None:
+    """Write payload as json, rows (by default [payload]) as csv, else text."""
+    if args.format == "json":
+        sys.stdout.write(_dump_json(payload))
+    elif args.format == "csv":
+        sys.stdout.write(_dump_csv([payload] if rows is None else rows))
+    else:
+        sys.stdout.write(text)
+
+
 def _registry_from(args) -> Registry:
     reg = Registry()
     path = getattr(args, "registry_file", None)
@@ -59,22 +69,18 @@ def _fraction_text(d: dict) -> str:
 
 def cmd_radix(args) -> int:
     rep = radix.to_radix(args.value, args.base)
-    payload = rep.as_dict()
-    if args.format == "json":
-        sys.stdout.write(_dump_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(_dump_csv([payload]))
-    else:
-        digits = " ".join(str(d) for d in rep.digits)
-        terms = " + ".join(
-            f"{d}*{rep.base}^{rep.exponent - i}" for i, d in enumerate(rep.digits)
-        )
-        sys.stdout.write(
-            f"value {rep.value} base {rep.base}\n"
-            f"digits {digits}\n"
-            f"exponent {rep.exponent}\n"
-            f"{rep.value} = {terms}\n"
-        )
+    digits = " ".join(str(d) for d in rep.digits)
+    terms = " + ".join(
+        f"{d}*{rep.base}^{rep.exponent - i}" for i, d in enumerate(rep.digits)
+    )
+    _emit(
+        args,
+        rep.as_dict(),
+        f"value {rep.value} base {rep.base}\n"
+        f"digits {digits}\n"
+        f"exponent {rep.exponent}\n"
+        f"{rep.value} = {terms}\n",
+    )
     return EXIT_OK
 
 
@@ -84,43 +90,33 @@ def cmd_table(args) -> int:
         rows = [row.as_dict() for row in bounds.table1(reg, places=args.places)]
     else:
         rows = [row.as_dict() for row in bounds.table2(reg)]
-    if args.format == "json":
-        sys.stdout.write(_dump_json(rows))
-    elif args.format == "csv":
-        sys.stdout.write(_dump_csv(rows))
-    else:
-        headers = list(rows[0])
-        widths = [
-            max(len(h), *(len(str(row[h])) for row in rows)) for h in headers
-        ]
-        line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-        sys.stdout.write(line.rstrip() + "\n")
-        for row in rows:
-            line = "  ".join(str(row[h]).ljust(w) for h, w in zip(headers, widths))
-            sys.stdout.write(line.rstrip() + "\n")
+    headers = list(rows[0])
+    widths = [max(len(h), *(len(str(row[h])) for row in rows)) for h in headers]
+    lines = [headers] + [[str(row[h]) for h in headers] for row in rows]
+    text = "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+        for line in lines
+    )
+    _emit(args, rows, text, rows)
     return EXIT_OK
 
 
 def cmd_theorem(args) -> int:
     reg = _registry_from(args)
     report = bounds.check_theorem(args.r, args.k, args.k_prime, registry=reg)
-    if args.format == "json":
-        sys.stdout.write(_dump_json(report.as_dict()))
-    elif args.format == "csv":
-        sys.stdout.write(_dump_csv([report.as_dict()]))
-    else:
-        def tri(flag):
-            return "not-evaluated" if flag is None else str(flag).lower()
 
-        lines = [
-            f"W({report.r}, {report.k}) = {report.w}  n = {report.n}",
-            f"condition1 (larger value, larger k): {tri(report.condition1)}",
-            f"condition2 (smaller floor log): {tri(report.condition2)}",
-            f"condition3 (k' in [3, sqrt(n+1))): {report.condition3_display}",
-            f"conclusion W < {report.r}^{report.n + 1} <= "
-            f"{report.r}^{report.k * report.k}: {str(report.conclusion_holds).lower()}",
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
+    def tri(flag):
+        return "not-evaluated" if flag is None else str(flag).lower()
+
+    lines = [
+        f"W({report.r}, {report.k}) = {report.w}  n = {report.n}",
+        f"condition1 (larger value, larger k): {tri(report.condition1)}",
+        f"condition2 (smaller floor log): {tri(report.condition2)}",
+        f"condition3 (k' in [3, sqrt(n+1))): {report.condition3_display}",
+        f"conclusion W < {report.r}^{report.n + 1} <= "
+        f"{report.r}^{report.k * report.k}: {str(report.conclusion_holds).lower()}",
+    ]
+    _emit(args, report.as_dict(), "\n".join(lines) + "\n")
     return EXIT_OK if report.conclusion_holds else EXIT_NEGATIVE
 
 
@@ -133,29 +129,24 @@ def cmd_ratio(args) -> int:
     if analysis.gap >= 1:
         ratio.binomial_expansion_estimate(args.r, args.k, registry=reg)
     payload = analysis.as_dict()
-    if args.format == "json":
-        sys.stdout.write(_dump_json(payload))
-    elif args.format == "csv":
-        flat = {
-            key: f"{value['numerator']}/{value['denominator']}"
-            if isinstance(value, dict) and "numerator" in value
-            else value
-            for key, value in payload.items()
-        }
-        flat["alpha"] = f"{payload['alpha']['sign']}{payload['alpha']['alpha']}"
-        sys.stdout.write(_dump_csv([flat]))
-    else:
-        a = payload["alpha"]
-        lines = [
-            f"W({analysis.r}, {analysis.k + 1}) / W({analysis.r}, {analysis.k}) "
-            f"= {_fraction_text(payload['exact'])}",
-            f"exponents m_lo {analysis.m_lo}  m_hi {analysis.m_hi}  gap {analysis.gap}",
-            f"leading digits {analysis.c_lead_lo} -> {analysis.c_lead_hi}",
-            f"alpha decomposition: k = r {a['sign']} {a['alpha']}",
-            f"leading estimate {_fraction_text(payload['leading_estimate'])}",
-            f"residual {_fraction_text(payload['residual'])}",
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
+    flat = {
+        key: f"{value['numerator']}/{value['denominator']}"
+        if isinstance(value, dict) and "numerator" in value
+        else value
+        for key, value in payload.items()
+    }
+    a = payload["alpha"]
+    flat["alpha"] = f"{a['sign']}{a['alpha']}"
+    lines = [
+        f"W({analysis.r}, {analysis.k + 1}) / W({analysis.r}, {analysis.k}) "
+        f"= {_fraction_text(payload['exact'])}",
+        f"exponents m_lo {analysis.m_lo}  m_hi {analysis.m_hi}  gap {analysis.gap}",
+        f"leading digits {analysis.c_lead_lo} -> {analysis.c_lead_hi}",
+        f"alpha decomposition: k = r {a['sign']} {a['alpha']}",
+        f"leading estimate {_fraction_text(payload['leading_estimate'])}",
+        f"residual {_fraction_text(payload['residual'])}",
+    ]
+    _emit(args, payload, "\n".join(lines) + "\n", [flat])
     return EXIT_OK
 
 
@@ -173,18 +164,17 @@ def cmd_search(args) -> int:
     if args.cert:
         search.write_certificate(outcome.certificate, args.cert)
         print(f"certificate written to {args.cert}", file=sys.stderr)
-    if args.format == "json":
-        sys.stdout.write(_dump_json(outcome.as_dict()))
-    else:
-        relation = "=" if outcome.status == STATUS_EXACT else ">="
-        stats = outcome.stats
-        sys.stdout.write(
-            f"W({outcome.r}, {outcome.k}) {relation} {outcome.value} "
-            f"({outcome.status})\n"
-            f"certificate length {outcome.certificate.length}\n"
-            f"nodes {stats.nodes}  elapsed {stats.elapsed:.3f}s  "
-            f"max depth {stats.max_depth}\n"
-        )
+    relation = "=" if outcome.status == STATUS_EXACT else ">="
+    stats = outcome.stats
+    _emit(
+        args,
+        outcome.as_dict(),
+        f"W({outcome.r}, {outcome.k}) {relation} {outcome.value} "
+        f"({outcome.status})\n"
+        f"certificate length {outcome.certificate.length}\n"
+        f"nodes {stats.nodes}  elapsed {stats.elapsed:.3f}s  "
+        f"max depth {stats.max_depth}\n",
+    )
     return EXIT_OK if outcome.status == STATUS_EXACT else EXIT_BUDGET
 
 
@@ -192,24 +182,18 @@ def cmd_verify(args) -> int:
     cert = search.read_certificate(args.certificate)
     problems = search.certificate_problems(cert)
     valid = not problems
-    if args.format == "json":
-        sys.stdout.write(
-            _dump_json(
-                {
-                    "valid": valid,
-                    "r": cert.r,
-                    "k": cert.k,
-                    "length": cert.length,
-                    "problems": problems,
-                }
-            )
-        )
-    elif valid:
-        sys.stdout.write(
-            f"valid certificate: W({cert.r}, {cert.k}) > {cert.length}\n"
-        )
+    payload = {
+        "valid": valid,
+        "r": cert.r,
+        "k": cert.k,
+        "length": cert.length,
+        "problems": problems,
+    }
+    if valid:
+        text = f"valid certificate: W({cert.r}, {cert.k}) > {cert.length}\n"
     else:
-        sys.stdout.write("invalid certificate: " + "; ".join(problems) + "\n")
+        text = "invalid certificate: " + "; ".join(problems) + "\n"
+    _emit(args, payload, text)
     return EXIT_OK if valid else EXIT_NEGATIVE
 
 

@@ -12,7 +12,7 @@ import decimal
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from ._record import Record
+from ._record import Record, require_int
 
 # Cache of [1, b, b^2, ...] per base, grown on demand.  floor_log is a
 # bisect over this list, which keeps the full-range property sweeps fast
@@ -23,13 +23,6 @@ _powers: dict[int, list[int]] = {}
 # turns those digit characters back into digit values.
 _FORMAT_SPECS = {2: "b", 8: "o", 10: "d", 16: "x"}
 _DIGIT_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-
-
-def _check_value_base(value: int, base: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"need a positive integer value, got {value!r}")
-    if not isinstance(base, int) or isinstance(base, bool) or base < 2:
-        raise ValueError(f"need an integer base >= 2, got {base!r}")
 
 
 def _powers_for(base: int, value: int) -> list[int]:
@@ -44,7 +37,9 @@ def _powers_for(base: int, value: int) -> list[int]:
 
 def floor_log(value: int, base: int) -> int:
     """The unique n with base**n <= value < base**(n+1)."""
-    _check_value_base(value, base)
+    if type(value) is not int or type(base) is not int or value < 1 or base < 2:
+        require_int("value", value, 1)
+        require_int("base", base, 2)
     table = _powers_for(base, value)
     # table[-1] > value >= 1 = table[0], so the insertion point is >= 1
     return bisect_right(table, value) - 1
@@ -66,10 +61,11 @@ class RadixRep(Record):
     exponent: int
 
     def __post_init__(self):
-        _check_value_base(self.value, self.base)
+        require_int("value", self.value, 1)
+        require_int("base", self.base, 2)
         object.__setattr__(self, "digits", tuple(self.digits))
         from_radix(self)  # digit range and type, leading digit, value
-        if self.exponent != len(self.digits) - 1:
+        if require_int("exponent", self.exponent) != len(self.digits) - 1:
             raise ValueError(
                 f"exponent {self.exponent!r} does not match {len(self.digits)} digits"
             )
@@ -93,7 +89,8 @@ class Interval(Record):
 def to_radix(value: int, base: int) -> RadixRep:
     """Digit expansion of value in the given base, most significant first."""
     if type(value) is not int or type(base) is not int or value < 1 or base < 2:
-        _check_value_base(value, base)
+        require_int("value", value, 1)
+        require_int("base", base, 2)
     spec = _FORMAT_SPECS.get(base)
     if spec is not None:
         digits = tuple(format(value, spec).encode().translate(_DIGIT_VALUES))
@@ -121,30 +118,33 @@ def from_radix(rep, base: int | None = None) -> int:
     """Reconstruct the integer from a RadixRep or a digit sequence plus base.
 
     Rejects empty or out-of-range digits and a leading zero.  When given
-    a RadixRep the reconstruction is also checked against its stored value.
+    a RadixRep the reconstruction is also checked against its stored value,
+    and a base, if one is passed too, must be the RadixRep's own.
     """
     if isinstance(rep, RadixRep):
-        digits, b, expect = rep.digits, rep.base, rep.value
-    else:
+        digits, expect = rep.digits, rep.value
         if base is None:
-            raise ValueError("a digit sequence needs an explicit base")
-        digits, b, expect = tuple(rep), base, None
-    if not isinstance(b, int) or isinstance(b, bool) or b < 2:
-        raise ValueError(f"need an integer base >= 2, got {b!r}")
+            base = rep.base
+        elif base != rep.base:
+            raise ValueError(f"base {base!r} does not match the RadixRep's base {rep.base}")
+    elif base is None:
+        raise ValueError("a digit sequence needs an explicit base")
+    else:
+        digits, expect = tuple(rep), None
+    if type(base) is not int or base < 2:
+        require_int("base", base, 2)
     if not digits:
         raise ValueError("digit sequence is empty")
     if digits[0] == 0:
         raise ValueError("leading digit is zero")
     acc = 0
     for d in digits:
-        # plain ints skip the isinstance pair, which the sweeps feel
-        if (
-            type(d) is not int
-            and (not isinstance(d, int) or isinstance(d, bool))
-            or not 0 <= d < b
-        ):
-            raise ValueError(f"digit {d!r} out of range for base {b}")
-        acc = acc * b + d
+        # plain ints skip the call, which the sweeps feel
+        if type(d) is not int:
+            require_int("digit", d)
+        if not 0 <= d < base:
+            raise ValueError(f"digit {d!r} out of range for base {base}")
+        acc = acc * base + d
     if expect is not None and acc != expect:
         raise ValueError(f"digits reconstruct to {acc}, not the stored {expect}")
     return acc
@@ -162,6 +162,8 @@ def dual_interval_intersection(value: int, r: int, k: int) -> Interval:
 
     Nonempty by construction since value lies in both.
     """
+    require_int("r", r, 2)
+    require_int("k", k, 2)
     a = containing_interval(value, r)
     b = containing_interval(value, k)
     low = max(a.low, b.low)
@@ -181,10 +183,8 @@ def log_display(value: int, base: int, places: int) -> str:
     circuit to an integer result so no rounding artifact can print, and
     everything else is evaluated with generous guard digits.
     """
-    _check_value_base(value, base)
-    if not isinstance(places, int) or isinstance(places, bool) or places < 1:
-        raise ValueError(f"need a positive integer number of places, got {places!r}")
     n = floor_log(value, base)
+    require_int("places", places, 1)
     quantum = decimal.Decimal(1).scaleb(-places)
     with decimal.localcontext() as ctx:
         ctx.prec = places + 25

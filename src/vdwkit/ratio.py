@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from . import radix
-from ._record import Record, rational_as_dict  # noqa: F401 (re-exported)
+from ._record import Record, rational_as_dict, require_int  # noqa: F401 (re-exported)
 from .registry import PAPER_TABLE, Registry, default_registry, stored_value
 
 
@@ -39,14 +39,13 @@ class AlphaDecomposition(Record):
     def __post_init__(self):
         if self.sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
+        require_int("alpha", self.alpha, 0)
 
 
 def alpha_decompose(r: int, k: int) -> AlphaDecomposition:
     """Write k as r + alpha or r - alpha; k = r takes alpha 0 with sign '-'."""
-    if r < 2 or k < 3:
-        raise ValueError(f"need r >= 2 and k >= 3, got r={r!r}, k={k!r}")
+    require_int("r", r, 2)
+    require_int("k", k, 3)
     if k > r:
         return AlphaDecomposition(k - r, "+")
     return AlphaDecomposition(r - k, "-")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from ._record import Record
+from ._record import Record, require_int
 
 PAPER_TABLE = "paper-table"
 SEARCH_DERIVED = "search-derived"
@@ -53,11 +53,9 @@ class VdwRecord(Record):
             object.__setattr__(self, "provenance", (self.provenance,))
         else:
             object.__setattr__(self, "provenance", tuple(self.provenance))
-        if self.r < 2:
-            raise ValueError(f"need r >= 2, got {self.r!r}")
-        if self.k < 3:
-            raise ValueError(f"need k >= 3, got {self.k!r}")
-        if self.value < self.k:
+        require_int("r", self.r, 2)
+        require_int("k", self.k, 3)
+        if require_int("value", self.value) < self.k:
             # a k-term progression needs at least k integers
             raise ValueError(f"W({self.r}, {self.k}) = {self.value!r} is impossible (< k)")
         if not self.provenance:
@@ -90,11 +88,8 @@ class Registry:
 
     def lookup(self, r: int, k: int) -> VdwRecord | None:
         """The record for (r, k), or None when the pair is unknown."""
-        # 2.0 would hash as 2 and find W(2, k); a bool is an int to isinstance
-        for name, value, least in (("r", r, 2), ("k", k, 3)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ValueError(f"need an integer {name} >= {least}, got {name}={value!r}")
-        return self._records.get((r, k))
+        # 2.0 would hash as 2 and find W(2, k)
+        return self._records.get((require_int("r", r, 2), require_int("k", k, 3)))
 
     def upsert_search_result(self, record: VdwRecord) -> VdwRecord:
         """Insert a record, or merge it with an existing one for the same pair.

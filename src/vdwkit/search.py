@@ -28,7 +28,7 @@ from ._engine import (
     resolve_engine,
     search_cubes,
 )
-from ._record import Record
+from ._record import Record, require_int
 from .registry import SEARCH_DERIVED, VdwRecord
 
 STATUS_EXACT = "exact"
@@ -66,8 +66,7 @@ def find_monochromatic_ap(colors, k: int):
     Scans every progression; this is the oracle the incremental search
     machinery is measured against, so it stays deliberately plain.
     """
-    if k < 3:
-        raise ValueError("progression length k must be at least 3")
+    require_int("k", k, 3)
     n = len(colors)
     for d in range(1, (n - 1) // (k - 1) + 1):
         for a in range(n - (k - 1) * d):
@@ -93,10 +92,8 @@ def last_position_check(colors, k: int, i: int | None = None) -> bool:
     end at the new position, so a sequence built left to right under
     this check is ap-free in full.
     """
-    if k < 3:
-        raise ValueError("progression length k must be at least 3")
-    if i is None:
-        i = len(colors) - 1
+    require_int("k", k, 3)
+    i = len(colors) - 1 if i is None else require_int("i", i)
     if not 0 <= i < len(colors):
         raise ValueError(f"position {i} outside coloring of length {len(colors)}")
     c0 = colors[i]
@@ -115,31 +112,42 @@ def last_position_check(colors, k: int, i: int | None = None) -> bool:
 class Coloring:
     """An assignment of one of r colors to each of len(colors) positions.
 
-    Color values are kept as given, even out of range, so that defective
-    certificates can be represented and then rejected by verification.
-    A color that is not an int, or is a bool, is refused: converting it
-    would let a certificate pass that is not the one supplied.
+    r and the color values are kept as given, even out of range, so that
+    defective certificates can be represented and then rejected by
+    verification.  One that is not an int, or is a bool, is refused:
+    converting it would let a certificate pass that is not the one
+    supplied.
     """
 
     r: int
     colors: tuple[int, ...]
 
     def __post_init__(self):
+        require_int("r", self.r)
         colors = tuple(self.colors)
         for c in colors:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ValueError(f"color {c!r} is not an integer")
+            if type(c) is not int:
+                require_int("color", c)
         object.__setattr__(self, "colors", colors)
 
 
 @dataclass(frozen=True)
 class Certificate(Record):
-    """A claimed ap-free r-coloring witnessing W(r, k) > length."""
+    """A claimed ap-free r-coloring witnessing W(r, k) > length.
+
+    r, k and length must be ints; their ranges, like the coloring's, are
+    verification's findings (certificate_problems), not refusals.
+    """
 
     r: int
     k: int
     length: int
     coloring: Coloring
+
+    def __post_init__(self):
+        require_int("r", self.r)
+        require_int("k", self.k)
+        require_int("length", self.length)
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -578,24 +586,18 @@ def compute_vdw(
     an exact result is recorded in it.
     """
     budget = budget or SearchBudget()
-    # a float would reach range() or the kernel's C integers, and a bool
-    # is an int to isinstance
-    for name, count in (
-        ("r", r), ("k", k), ("workers", workers), ("max_length", max_length),
-        ("max_nodes", budget.max_nodes),
-    ):
-        if count is not None and (isinstance(count, bool) or not isinstance(count, int)):
-            raise ValueError(f"{name} must be an integer, got {name}={count!r}")
-    if r < 2:
-        raise ValueError(f"need at least 2 colors, got r={r}")
-    if k < 3:
-        raise ValueError(f"progression length k must be at least 3, got k={k}")
+    # a float would reach range() or the kernel's C integers
+    require_int("r", r, 2)
+    require_int("k", k, 3)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if max_length is not None and max_length < k:
-        raise ValueError(f"max_length {max_length} below the shortest target {k}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got workers={workers}")
+    # the shortest target is length k
+    for name, count, least in (
+        ("workers", workers, 1), ("max_length", max_length, k),
+        ("max_nodes", budget.max_nodes, 0),
+    ):
+        if count is not None:
+            require_int(name, count, least)
     seconds = budget.max_seconds
     if seconds is not None and (
         isinstance(seconds, bool) or not isinstance(seconds, (int, float))
@@ -603,11 +605,9 @@ def compute_vdw(
         raise ValueError(
             f"max_seconds must be an int or a float, got max_seconds={seconds!r}"
         )
-    for name in ("max_seconds", "max_nodes"):
-        limit = getattr(budget, name)
-        # not >= also rejects a NaN time budget, which would never expire
-        if limit is not None and not limit >= 0:
-            raise ValueError(f"{name} must be a number >= 0, got {name}={limit}")
+    # not >= also rejects a NaN time budget, which would never expire
+    if seconds is not None and not seconds >= 0:
+        raise ValueError(f"max_seconds must be a number >= 0, got max_seconds={seconds}")
     engine = resolve_engine(engine)
     if engine == "python":
         workers = 1

@@ -127,6 +127,14 @@ class TestFromRadix:
         with pytest.raises(ValueError, match="explicit base"):
             from_radix((1, 2, 0, 3))
 
+    def test_rep_with_its_own_base(self):
+        assert from_radix(to_radix(10, 2), 2) == 10
+
+    @pytest.mark.parametrize("base", [3, 2.0])
+    def test_rep_refuses_another_base(self, base):
+        with pytest.raises(ValueError, match="base"):
+            from_radix(to_radix(10, 2), base)
+
 
 class TestIntervals:
     @pytest.mark.parametrize(
