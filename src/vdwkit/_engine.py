@@ -74,11 +74,11 @@ pairs, assigned and propagated in order before the first decision; a
 conflict among them makes the run exhausted at once.  A run's root
 method starts it afresh from other assumptions, in any state, keeping
 what it built for length T; it then searches exactly as a fresh run
-opened with them.  search_cubes
-uses them to cut length T into cubes, each fixing the first d positions
-of the branching order (0, 1, ... for ORDER_LOWEST, middle_out(T) for
-ORDER_MOST_BLOCKED) to one first-use pattern: each color at most one
-above the largest before it.  The cubes decide length T:
+opened with them.  search_cubes uses them to cut length T into cubes,
+each fixing the first d positions of the branching order (0, 1, ... for
+ORDER_LOWEST, middle_out(T) for ORDER_MOST_BLOCKED), or a few more
+after the split at the end of (4), to one first-use pattern: each color
+at most one above the largest before it.  The cubes decide length T:
   (1) Any valid coloring, relabeled by first appearance along the d
       positions, is a valid coloring inside exactly one cube.
   (2) After a first-use pattern is replayed the colors in use are 0..m,
@@ -107,6 +107,27 @@ above the largest before it.  The cubes decide length T:
       pair and every singleton, so some kept cube holds a valid coloring
       exactly when some cube does, and by (1) and (2) the kept cubes
       decide length T.
+      From T = SPLIT_FROM on, search_cubes splits each kept self-mirror
+      pattern again, for SPLIT_LEVELS levels, and the kept cubes still
+      decide length T, by induction on the levels.  Let P be a
+      self-mirror pattern of level j, on the first d+2j middle-out
+      positions.  Its extensions are the first-use patterns on the first
+      d+2j+2 that begin with P.  The two added positions are x and
+      T-1-x, so these positions are closed under reflection too.  Every
+      coloring in P's cube, relabeled by first use along them, lies in
+      the cube of exactly one extension, as in (1).  Relabeling along
+      the longer prefix leaves its first d+2j colors as they were, so the
+      mirror of an extension begins with mirror(P) = P: it is another
+      extension of P.  So mirroring is again an involution, now on P's
+      extensions, and a cube of one holds a valid coloring exactly when
+      the cube of its mirror does.  Replacing P by the extensions whose
+      mirror is no smaller keeps a valid coloring in P's cube when there
+      is one, and by (2) each of their cubes is searched soundly.  The
+      extensions are in lexicographic order, each above P and below
+      every pattern after P, so replacing P in place keeps the cubes in
+      lexicographic order: the earliest cube that finds a coloring, and
+      with it the certificate, is fixed by the cubes alone, whatever the
+      engine or the worker count.
 
 The Python reference and the C counter path watch two members of each
 negative clause, both not colored in the clause's color (Moskewicz et
@@ -150,6 +171,14 @@ ENGINES = ("jit", "python")
 # search_cubes cuts each length into at least this many cubes: enough to
 # keep a few workers busy and each cube small, few enough to open cheaply
 CUBE_PATTERNS = 16
+# under ORDER_MOST_BLOCKED, lengths from SPLIT_FROM on split every
+# self-mirror cube SPLIT_LEVELS more reflection levels.  Such a cube
+# searches each coloring together with its mirror image, and the split
+# keeps one cube of each mirror pair of its extensions.  Shorter lengths
+# end in milliseconds, where the extra cubes cost more than they save:
+# W(3, 3)'s T = 27 would open 201 cubes instead of 25
+SPLIT_FROM = 64
+SPLIT_LEVELS = 2
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # the kernel's compile flags, fixed; _library_name hashes them
@@ -509,11 +538,14 @@ def search_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
     the first-use color patterns, in lexicographic order, on the first d
     positions of the branching order, where d (at most T) is the least
     depth that gives at least CUBE_PATTERNS and, with ORDER_MOST_BLOCKED,
-    has the parity of T.  ORDER_LOWEST keeps every pattern;
+    has the parity of T.  ORDER_LOWEST keeps every pattern.
     ORDER_MOST_BLOCKED keeps a pattern only when its mirror (reflected,
     position p taking the color of T-1-p, then relabeled by first use)
-    is not lexicographically smaller.  See the module docstring for
-    soundness."""
+    is not lexicographically smaller; from T = SPLIT_FROM on it then
+    replaces each kept self-mirror pattern, in place, by its kept
+    extensions on the next two positions of the branching order, a
+    reflection pair, for SPLIT_LEVELS levels.  See the module docstring
+    for soundness."""
     # the first d middle-out positions are closed under reflection
     # exactly when d has the parity of T
     mirrored = order == ORDER_MOST_BLOCKED
@@ -522,10 +554,19 @@ def search_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:
         len(_first_use_patterns(r, d)) < CUBE_PATTERNS or mirrored and (T - d) % 2
     ):
         d += 1
-    # with d of T's parity, the first d middle-out positions of 0..T-1 are
-    # those of 0..d-1 moved to the centre
-    positions = [p + (T - d) // 2 for p in middle_out(d)] if mirrored else range(d)
-    return [list(zip(positions, pattern)) for pattern in _kept_patterns(r, order, d)]
+    if not mirrored:
+        return [list(zip(range(d), pattern)) for pattern in _first_use_patterns(r, d)]
+    levels = SPLIT_LEVELS if T >= SPLIT_FROM else 0
+    # with n of T's parity, the first n middle-out positions of 0..T-1 are
+    # those of 0..n-1 moved to the centre.  Each cube fixes a prefix of
+    # them, and the cubes share one (position, color) pair per cell, since
+    # there can be many (1,235 at W(4, 3)'s T = 76)
+    n = d + 2 * levels
+    cells = [[(p + (T - n) // 2, c) for c in range(r)] for p in middle_out(n)]
+    return [
+        [cells[i][c] for i, c in enumerate(pattern)]
+        for pattern in _kept_patterns(r, d, levels)
+    ]
 
 
 @functools.cache
@@ -542,21 +583,32 @@ def _first_use_patterns(r: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _kept_patterns(r: int, order: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """The patterns of depth d that search_cubes keeps.  Under
-    ORDER_MOST_BLOCKED they lie on the middle-out positions of 0..d-1
-    moved to the centre of 0..T-1, and reflection in T maps them as
-    reflection in d does: a fixed swap of pattern indices."""
-    patterns = _first_use_patterns(r, d)
-    if order == ORDER_LOWEST:
-        return patterns
-    cut = middle_out(d)
+def _kept_patterns(r: int, d: int, levels: int) -> tuple[tuple[int, ...], ...]:
+    """The patterns that search_cubes keeps under ORDER_MOST_BLOCKED, in
+    lexicographic order: those of depth d whose mirror is no smaller, each
+    self-mirror one replaced by its kept extensions on two more positions,
+    for the given number of levels.  A pattern lies on a prefix of the
+    middle-out positions of 0..n-1 (n = d + 2 levels) moved to the centre
+    of 0..T-1, and reflection in T maps them as reflection in n does: a
+    fixed swap of pattern indices, closed on each prefix of length d + 2j."""
+    n = d + 2 * levels
+    cut = middle_out(n)
     index = {p: i for i, p in enumerate(cut)}
-    image = [index[d - 1 - p] for p in cut]
-    kept = []
-    for pattern in patterns:
+    image = [index[n - 1 - p] for p in cut]
+
+    def kept(pattern: tuple[int, ...], level: int):
         relabel: dict[int, int] = {}
-        mirror = tuple(relabel.setdefault(pattern[i], len(relabel)) for i in image)
-        if mirror >= pattern:
-            kept.append(pattern)
-    return tuple(kept)
+        mirror = tuple(
+            relabel.setdefault(pattern[i], len(relabel)) for i in image[: len(pattern)]
+        )
+        if mirror < pattern:
+            return
+        if mirror > pattern or level == levels:
+            yield pattern
+            return
+        top = max(pattern, default=-1)
+        for a in range(min(top + 2, r)):
+            for b in range(min(max(top, a) + 2, r)):
+                yield from kept(pattern + (a, b), level + 1)
+
+    return tuple(p for pattern in _first_use_patterns(r, d) for p in kept(pattern, 0))

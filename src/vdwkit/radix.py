@@ -79,6 +79,10 @@ class Interval(Record):
     high: int
 
     def __post_init__(self):
+        # plain ints skip the calls: containing_interval builds one per call
+        if type(self.low) is not int or type(self.high) is not int:
+            require_int("low", self.low)
+            require_int("high", self.high)
         if self.low >= self.high:
             raise ValueError(f"need low < high, got [{self.low}, {self.high})")
 

@@ -17,6 +17,7 @@ from vdwkit import (
     AlphaDecomposition,
     Certificate,
     Coloring,
+    Interval,
     RadixRep,
     Registry,
     SearchBudget,
@@ -119,6 +120,8 @@ INT_ARGUMENTS = {
     "RadixRep.value": (lambda x: RadixRep(x, 5, (2,), 0), "value"),
     "RadixRep.base": (lambda x: RadixRep(2, x, (2,), 0), "base"),
     "RadixRep.exponent": (lambda x: RadixRep(2, 5, (2,), x), "exponent"),
+    "Interval.low": (lambda x: Interval(x, 5), "low"),
+    "Interval.high": (lambda x: Interval(1, x), "high"),
     "containing_interval.value": (lambda x: containing_interval(x, 5), "value"),
     "containing_interval.base": (lambda x: containing_interval(178, x), "base"),
     "dual_interval_intersection.r": (lambda x: dual_interval_intersection(178, x, 5), "r"),

@@ -18,6 +18,8 @@ from vdwkit._engine import (
     ST_EXHAUSTED,
     ST_FOUND,
     ST_PAUSED,
+    SPLIT_FROM,
+    SPLIT_LEVELS,
     compiled_library,
     middle_out,
     open_run,
@@ -64,6 +66,54 @@ def reference_lex_first(r, k, T):
         return False
 
     return list(colors) if rec() else None
+
+
+def is_first_use(pattern):
+    """Each color at most one above the largest before it."""
+    return all(c <= max(pattern[:i], default=-1) + 1 for i, c in enumerate(pattern))
+
+
+def mirror(pattern, T, positions):
+    """The pattern on a prefix of positions reflected (position p takes
+    the color of T-1-p) and relabeled by first appearance along them."""
+    line = [-1] * T
+    for p, c in zip(positions, pattern):
+        line[p] = c
+    image = [line[T - 1 - p] for p in positions[: len(pattern)]]
+    seen = sorted(set(image), key=image.index)
+    return tuple(seen.index(c) for c in image)
+
+
+def mirror_levels(r, T, positions, depth, levels):
+    """Per level, each pattern that level splits into, with its mirror:
+    level 0 has every first-use pattern of the depth, each later level
+    every first-use extension of the last level's self-mirror patterns
+    on the next two positions."""
+    patterns = [p for p in itertools.product(range(r), repeat=depth) if is_first_use(p)]
+    out = []
+    for level in range(levels + 1):
+        images = {p: mirror(p, T, positions[: depth + 2 * level]) for p in patterns}
+        out.append(images)
+        patterns = [
+            p + pair
+            for p, m in images.items()
+            if m == p
+            for pair in itertools.product(range(r), repeat=2)
+            if is_first_use(p + pair)
+        ]
+    return out
+
+
+def kept_by_mirror(levels):
+    """The patterns a split of mirror_levels keeps, in lexicographic
+    order: each whose mirror is larger, and the self-mirror ones of the
+    last level."""
+    return sorted(
+        p
+        for level, images in enumerate(levels)
+        for p, m in images.items()
+        if m > p or m == p and level == len(levels) - 1
+    )
 
 
 HAVE_COMPILER = _engine._compiler() is not None
@@ -244,6 +294,27 @@ class TestComputeVdw:
             assert (many.status, many.value) == (one.status, one.value)
             assert many.certificate.colors == one.certificate.colors
 
+    # the W(2, 5) climb from its 149-long witness runs T = 150..176 on the
+    # split cubes of lengths from SPLIT_FROM on; with no solo phase the
+    # helpers start at every length
+    def test_split_cube_certificates_ignore_engine_and_worker_count(
+        self, warm_engine, monkeypatch, helpers_started
+    ):
+        monkeypatch.setattr(search, "_SOLO_SECONDS", 0)
+        one = compute_vdw(2, 5, workers=1, max_length=176, engine="python")
+        assert (one.status, one.value) == ("lower-bound-only", 177)
+        assert verify_certificate(one.certificate)
+        if not HAVE_COMPILER:
+            return
+        for workers in (1, 2, 4):
+            helpers_started.clear()
+            many = compute_vdw(
+                2, 5, workers=workers, max_length=176, engine=compiled_engine()
+            )
+            assert (many.status, many.value) == (one.status, one.value)
+            assert many.certificate.colors == one.certificate.colors, workers
+            assert bool(helpers_started) == (workers > 1)
+
     @needs_compiler
     def test_compiled_engine_builds_no_reference_run(self, warm_engine, monkeypatch):
         engine = compiled_engine()
@@ -378,6 +449,15 @@ class TestComputeVdw:
         cubes = len(search_cubes(3, 27, ORDER_MOST_BLOCKED))
         assert len(helpers_started) == min(workers, cubes) - 1
 
+    # the W(4, 3) proof: its witness is 75 long, so the search is the one
+    # exhausted length, whose cubes all run whatever the worker count; a
+    # change of tree shows here
+    @pytest.mark.slow
+    def test_w43_proof_node_count_is_pinned(self, warm_engine):
+        outcome = compute_vdw(4, 3)
+        assert (outcome.status, outcome.value) == ("exact", 76)
+        assert outcome.stats.nodes == 47_322_017
+
     def test_one_worker_starts_no_thread(self, warm_engine, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a one-worker search started a thread")
@@ -461,7 +541,8 @@ class TestCompiledKernel:
     def test_engines_agree_after_every_step(self, warm_engine, r, k, T):
         engine = compiled_engine()
         for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
-            for start in [[]] + search_cubes(r, T, order)[:2]:
+            cubes = search_cubes(r, T, order)
+            for start in [[]] + cubes[:2] + [cubes[len(cubes) // 2]]:
                 where = f"order={order} start={start}"
                 py = open_run("python", r, k, T, order, start)
                 jit = open_run(engine, r, k, T, order, start)
@@ -475,10 +556,17 @@ class TestCompiledKernel:
                         break
 
     # W(2, 5) cubes too long for the reference, pinned from the colour
-    # counting the counter path used before it watched clauses
+    # counting the counter path used before it watched clauses: at T = 178
+    # two extensions of a split self-mirror cube, one at each level, and at
+    # T = 177 a cube of depth 5 that no split reaches
     @needs_compiler
     @pytest.mark.parametrize(
-        "T, index, status, nodes", [(178, 2, ST_EXHAUSTED, 82380), (177, 1, ST_FOUND, 43654)]
+        "T, index, status, nodes",
+        [
+            (178, 11, ST_EXHAUSTED, 21880),
+            (178, 14, ST_EXHAUSTED, 10546),
+            (177, 7, ST_FOUND, 43654),
+        ],
     )
     def test_counter_path_node_counts_are_pinned(self, warm_engine, T, index, status, nodes):
         cube = search_cubes(2, T, ORDER_MOST_BLOCKED)[index]
@@ -653,38 +741,26 @@ class TestKernelSoundness:
                             break
             assert left == {ST_FOUND, ST_EXHAUSTED, ST_PAUSED}, engine
 
-    # each r has an odd T, an even T and a T below the cube depth
+    # each r has an odd T, an even T and a T below the cube depth, and
+    # r = 2 the lengths on either side of SPLIT_FROM
     @pytest.mark.parametrize(
         "r, T",
-        [(2, 3), (2, 35), (3, 27), (4, 76), (2, 178), (3, 4), (3, 26), (4, 3), (4, 75)],
+        [(2, 3), (2, 35), (3, 27), (4, 76), (2, 178), (3, 4), (3, 26), (4, 3), (4, 75),
+         (2, 63), (2, 64)],
     )
     def test_cubes_are_the_first_use_patterns(self, r, T):
         def first_use(d):
-            return [
-                pattern
-                for pattern in itertools.product(range(r), repeat=d)
-                if all(c <= max(pattern[:i], default=-1) + 1
-                       for i, c in enumerate(pattern))
-            ]
+            return [p for p in itertools.product(range(r), repeat=d) if is_first_use(p)]
 
         def closed(positions):
             return {T - 1 - p for p in positions} == set(positions)
 
-        def mirror(pattern, positions):
-            # reflect (position p takes the color of T-1-p), then relabel
-            # by first appearance along the cube positions
-            line = [-1] * T
-            for p, c in zip(positions, pattern):
-                line[p] = c
-            image = [line[T - 1 - p] for p in positions]
-            seen = sorted(set(image), key=image.index)
-            return tuple(seen.index(c) for c in image)
-
         for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
             cubes = search_cubes(r, T, order)
-            depth = len(cubes[0])
+            depth = min(len(cube) for cube in cubes)
             positions = list(range(T)) if order == ORDER_LOWEST else middle_out(T)
-            assert all([p for p, _ in cube] == positions[:depth] for cube in cubes)
+            # each cube fixes a prefix of the branching order
+            assert all([p for p, _ in cube] == positions[: len(cube)] for cube in cubes)
             patterns = [tuple(c for _, c in cube) for cube in cubes]
             assert patterns == sorted(patterns)
             every = first_use(depth)
@@ -701,14 +777,62 @@ class TestKernelSoundness:
                 len(first_use(d)) < CUBE_PATTERNS or not closed(positions[:d])
                 for d in range(depth)
             )
-            # mirroring is an involution on the patterns, and the kept ones
-            # are those whose mirror is no smaller: one of each pair and
-            # every self-mirror pattern
-            cut = positions[:depth]
-            assert all(mirror(mirror(pattern, cut), cut) == pattern for pattern in every)
-            assert patterns == [
-                pattern for pattern in every if mirror(pattern, cut) >= pattern
-            ]
+            # from SPLIT_FROM on, SPLIT_LEVELS levels, each adding a
+            # reflection pair of positions; below it, one depth for all
+            levels = SPLIT_LEVELS if T >= SPLIT_FROM else 0
+            assert all(closed(positions[: depth + 2 * j]) for j in range(levels + 1))
+            if levels == 0:
+                assert all(len(cube) == depth for cube in cubes)
+            split = mirror_levels(r, T, positions, depth, levels)
+            for images in split:
+                # mirroring is an involution on each level's patterns, so
+                # they fall into the kept (mirror larger), the dropped
+                # (mirror smaller, and kept) and the self-mirror ones
+                assert all(images[m] == p for p, m in images.items())
+            # a self-mirror pattern of the last level is kept whole, one
+            # of an earlier level gives way to its extensions
+            assert patterns == kept_by_mirror(split)
+
+    # the split of search_cubes built at lengths short enough for brute
+    # force, from _kept_patterns at SPLIT_LEVELS on the depth search_cubes
+    # cuts these lengths at.  Each pattern of each level, kept or not,
+    # must share its verdict with its mirror (argument (4), level by
+    # level), and the kept ones must decide the length
+    @pytest.mark.parametrize("r, k, lengths", [(2, 4, range(28, 36)), (3, 3, range(20, 28))])
+    def test_split_cubes_share_verdicts_with_their_mirrors(
+        self, warm_engine, r, k, lengths
+    ):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+        seen = set()
+        for T in lengths:
+            depth = len(search_cubes(r, T, ORDER_MOST_BLOCKED)[0])
+            positions = middle_out(T)[: depth + 2 * SPLIT_LEVELS]
+            split = mirror_levels(r, T, positions, depth, SPLIT_LEVELS)
+            kept = _engine._kept_patterns(r, depth, SPLIT_LEVELS)
+            assert list(kept) == kept_by_mirror(split), T
+            satisfiable = reference_lex_first(r, k, T) is not None
+            for engine in engines:
+                verdicts = {}
+
+                def verdict(pattern):
+                    if pattern not in verdicts:
+                        cube = list(zip(positions, pattern))
+                        run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
+                        verdicts[pattern] = run.step(1 << 40)
+                    return verdicts[pattern]
+
+                for level, images in enumerate(split):
+                    for p, m in images.items():
+                        assert verdict(p) == verdict(m), f"T={T} engine={engine} {p}"
+                        seen.add((level, verdict(p)))
+                found = any(verdict(p) == ST_FOUND for p in kept)
+                assert found == satisfiable, f"T={T} engine={engine}"
+        # the lengths reach both verdicts at every level
+        assert seen == {
+            (level, status)
+            for level in range(SPLIT_LEVELS + 1)
+            for status in (ST_FOUND, ST_EXHAUSTED)
+        }
 
 
 class TestBudgets:
