@@ -1,4 +1,5 @@
-"""The package's two shared rules: integer arguments and JSON-ready records.
+"""The package's three shared rules: integer arguments, decimal display
+and JSON-ready records.
 
 require_int is the one check of an integer argument: an int that is not
 a bool, and at least some floor when one is given.  A float such as 2.0
@@ -6,10 +7,16 @@ is refused rather than truncated, since every verdict here is an integer
 statement.  The ValueError names the argument, and the CLI turns it into
 exit 2.
 
+decimal_text is the one way a number becomes display decimals: evaluated
+in decimal with 25 guard digits past the places shown, then quantized,
+rounding half-even or, for the truncated table columns, down.  No verdict
+reads these strings.
+
 Every result type is a frozen dataclass, and its as_dict() lists its
 fields in declared order (the CSV header order), with tuples as lists,
 Fractions as rational_as_dict and nested records as their own dicts.
-A type whose JSON is not its fields overrides as_dict.
+Certificate alone overrides as_dict: its JSON flattens the coloring to a
+list of colors.
 """
 from __future__ import annotations
 
@@ -31,17 +38,26 @@ def require_int(name: str, value, least: int | None = None) -> int:
     return value
 
 
-def rational_as_dict(q: Fraction, places: int = 6) -> dict:
-    """Numerator/denominator plus a fixed-point decimal rendering."""
+def decimal_text(compute, places: int, rounding=decimal.ROUND_HALF_EVEN) -> str:
+    """compute() at precision places + 25, quantized to `places` decimals.
+
+    compute takes no argument and returns a Decimal; it runs inside the
+    widened context, so its divisions, logarithms and roots carry the
+    guard digits.  rounding is ROUND_HALF_EVEN or ROUND_DOWN.
+    """
     with decimal.localcontext() as ctx:
         ctx.prec = places + 25
-        dec = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
-        quantum = decimal.Decimal(1).scaleb(-places)
-        rendered = str(dec.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
+        return str(compute().quantize(decimal.Decimal(1).scaleb(-places), rounding=rounding))
+
+
+def rational_as_dict(q: Fraction, places: int = 6) -> dict:
+    """Numerator/denominator plus a fixed-point decimal rendering."""
     return {
         "numerator": q.numerator,
         "denominator": q.denominator,
-        "decimal": rendered,
+        "decimal": decimal_text(
+            lambda: decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator), places
+        ),
     }
 
 

@@ -14,12 +14,12 @@ to match how the reference tabulation prints them.
 """
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
+from decimal import ROUND_DOWN, Decimal
 
 from . import radix
-from ._record import Record, require_int
-from .registry import Registry, default_registry, stored_value
+from ._record import Record, decimal_text, require_int
+from .registry import PAPER_TABLE, Registry, default_registry, stored_value
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,10 @@ class TheoremReport(Record):
     """Evaluated conditions and conclusion for one (r, k) pair.
 
     condition1 and condition2 are None when no k' was supplied.
-    condition3 is None when unevaluated (no k') and is reported through
-    condition3_display as "vacuous" whenever [3, sqrt(n+1)) contains no
-    integer, which happens exactly when n + 1 <= 9.
+    condition3 is None when unevaluated (no k') or vacuous, and
+    condition3_display says which: "vacuous" whenever [3, sqrt(n+1))
+    contains no integer, which happens exactly when n + 1 <= 9, else
+    "not-evaluated", "true" or "false".
     """
 
     r: int
@@ -68,34 +69,13 @@ class TheoremReport(Record):
     condition1: bool | None
     condition2: bool | None
     condition3: bool | None
-    condition3_vacuous: bool
+    condition3_display: str
     k_lower_bound_holds: bool
     conclusion_holds: bool
 
     @property
-    def condition3_display(self) -> str:
-        if self.condition3_vacuous:
-            return "vacuous"
-        if self.condition3 is None:
-            return "not-evaluated"
-        return "true" if self.condition3 else "false"
-
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "k_prime": self.k_prime,
-            "w": self.w,
-            "w_prime": self.w_prime,
-            "n": self.n,
-            "n_prime": self.n_prime,
-            "condition1": self.condition1,
-            "condition2": self.condition2,
-            "condition3": self.condition3,
-            "condition3_display": self.condition3_display,
-            "k_lower_bound_holds": self.k_lower_bound_holds,
-            "conclusion_holds": self.conclusion_holds,
-        }
+    def condition3_vacuous(self) -> bool:
+        return self.condition3_display == "vacuous"
 
 
 def check_theorem(
@@ -124,9 +104,12 @@ def check_theorem(
     w_val = stored_value(r, k, registry) if w is None else require_int("w", w, 1)
     n = radix.floor_log(w_val, r)
     vacuous = n + 1 <= 9
+    display = "vacuous" if vacuous else "not-evaluated"
 
     n_prime = None
     cond1 = cond2 = cond3 = None
+    if k_prime is None and w_prime is not None:
+        raise ValueError(f"w_prime needs a k_prime, got w_prime={w_prime!r}, k_prime=None")
     if k_prime is not None:
         require_int("k_prime", k_prime, 3)
         if k_prime >= k:
@@ -141,6 +124,7 @@ def check_theorem(
         cond2 = n_prime < n
         if not vacuous:
             cond3 = k_prime * k_prime < n + 1
+            display = str(cond3).lower()
         w_prime = wp
 
     k_bound = k * k >= n + 1
@@ -161,27 +145,10 @@ def check_theorem(
         condition1=cond1,
         condition2=cond2,
         condition3=cond3,
-        condition3_vacuous=vacuous,
+        condition3_display=display,
         k_lower_bound_holds=k_bound,
         conclusion_holds=conclusion,
     )
-
-
-def _truncated(value: decimal.Decimal, places: int) -> str:
-    quantum = decimal.Decimal(1).scaleb(-places)
-    return str(value.quantize(quantum, rounding=decimal.ROUND_DOWN))
-
-
-def _ln_truncated(x: int, places: int) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = places + 25
-        return _truncated(decimal.Decimal(x).ln(), places)
-
-
-def _sqrt_truncated(x: int, places: int) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = places + 25
-        return _truncated(decimal.Decimal(x).sqrt(), places)
 
 
 @dataclass(frozen=True)
@@ -237,24 +204,28 @@ def table2(registry: Registry | None = None) -> list[Table2Row]:
 
     sqrt(n+1) is truncated to 3 places and ln r, ln k to 4, matching the
     reference tabulation's print convention.  Power columns render
-    symbolically; the chain W < r^(n+1) <= r^(k^2) is re-verified in
-    integer arithmetic for every row before the row is emitted.
+    symbolically.  Before a row is emitted, integer arithmetic re-checks
+    W < r^(n+1) for every row and r^(n+1) <= r^(k^2) for the paper's own
+    rows; a row added by extension that breaks the square bound is
+    reported as found, as gap_survey does.
     """
     reg = registry if registry is not None else default_registry()
     rows = []
     for rec in reg.records():
         r, k, w = rec.r, rec.k, rec.value
         n = radix.floor_log(w, r)
-        if not (w < r ** (n + 1) <= r ** (k * k)):
+        if not w < r ** (n + 1) or (
+            PAPER_TABLE in rec.provenance and not r ** (n + 1) <= r ** (k * k)
+        ):
             raise AssertionError(f"bound chain failed for W({r}, {k}) = {w}")
         rows.append(
             Table2Row(
                 r=r,
                 k=k,
-                sqrt_n_plus_1=_sqrt_truncated(n + 1, 3),
+                sqrt_n_plus_1=decimal_text(Decimal(n + 1).sqrt, 3, ROUND_DOWN),
                 n=n,
-                ln_r=_ln_truncated(r, 4),
-                ln_k=_ln_truncated(k, 4),
+                ln_r=decimal_text(Decimal(r).ln, 4, ROUND_DOWN),
+                ln_k=decimal_text(Decimal(k).ln, 4, ROUND_DOWN),
                 r_pow_n=f"{r}^{n}",
                 W=w,
                 r_pow_n_plus_1=f"{r}^{n + 1}",

@@ -31,14 +31,16 @@ def _dump_json(payload) -> str:
 
 
 def _dump_csv(rows: list[dict]) -> str:
-    """Rows share a schema; nested values are flattened to strings."""
+    """Rows share a schema; a list prints space-separated, a rational as n/d."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(rows[0].keys())
     for row in rows:
         writer.writerow(
             [
-                " ".join(str(x) for x in v) if isinstance(v, list) else v
+                " ".join(str(x) for x in v) if isinstance(v, list)
+                else f"{v['numerator']}/{v['denominator']}" if isinstance(v, dict)
+                else v
                 for v in row.values()
             ]
         )
@@ -129,24 +131,17 @@ def cmd_ratio(args) -> int:
     if analysis.gap >= 1:
         ratio.binomial_expansion_estimate(args.r, args.k, registry=reg)
     payload = analysis.as_dict()
-    flat = {
-        key: f"{value['numerator']}/{value['denominator']}"
-        if isinstance(value, dict) and "numerator" in value
-        else value
-        for key, value in payload.items()
-    }
-    a = payload["alpha"]
-    flat["alpha"] = f"{a['sign']}{a['alpha']}"
+    a = analysis.alpha
     lines = [
         f"W({analysis.r}, {analysis.k + 1}) / W({analysis.r}, {analysis.k}) "
         f"= {_fraction_text(payload['exact'])}",
         f"exponents m_lo {analysis.m_lo}  m_hi {analysis.m_hi}  gap {analysis.gap}",
         f"leading digits {analysis.c_lead_lo} -> {analysis.c_lead_hi}",
-        f"alpha decomposition: k = r {a['sign']} {a['alpha']}",
+        f"alpha decomposition: k = r {a.sign} {a.alpha}",
         f"leading estimate {_fraction_text(payload['leading_estimate'])}",
         f"residual {_fraction_text(payload['residual'])}",
     ]
-    _emit(args, payload, "\n".join(lines) + "\n", [flat])
+    _emit(args, payload, "\n".join(lines) + "\n", [dict(payload, alpha=f"{a.sign}{a.alpha}")])
     return EXIT_OK
 
 

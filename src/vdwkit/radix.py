@@ -4,15 +4,16 @@ Digits are kept most significant first, so to_radix(178, 5) gives
 (1, 2, 0, 3).  Every verdict-bearing operation here is pure integer
 arithmetic; the one function allowed near floating point is
 log_display, which exists for table output and nothing else, and even
-that runs on decimal with guard digits rather than binary floats.
+that runs on decimal with guard digits (_record.decimal_text) rather
+than binary floats.
 """
 from __future__ import annotations
 
-import decimal
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 
-from ._record import Record, require_int
+from ._record import Record, decimal_text, require_int
 
 # Cache of [1, b, b^2, ...] per base, grown on demand.  floor_log is a
 # bisect over this list, which keeps the full-range property sweeps fast
@@ -189,12 +190,6 @@ def log_display(value: int, base: int, places: int) -> str:
     """
     n = floor_log(value, base)
     require_int("places", places, 1)
-    quantum = decimal.Decimal(1).scaleb(-places)
-    with decimal.localcontext() as ctx:
-        ctx.prec = places + 25
-        if _powers_for(base, value)[n] == value:
-            result = decimal.Decimal(n).quantize(quantum)
-        else:
-            log = decimal.Decimal(value).ln() / decimal.Decimal(base).ln()
-            result = log.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN)
-    return str(result)
+    if _powers_for(base, value)[n] == value:
+        return decimal_text(lambda: Decimal(n), places)
+    return decimal_text(lambda: Decimal(value).ln() / Decimal(base).ln(), places)

@@ -19,8 +19,16 @@ from fractions import Fraction
 from math import comb
 
 from . import radix
-from ._record import Record, rational_as_dict, require_int  # noqa: F401 (re-exported)
+from ._record import Record, require_int
 from .registry import PAPER_TABLE, Registry, default_registry, stored_value
+
+
+def _expansions(r: int, k: int, registry: Registry | None):
+    """W(r, k) in base k and W(r, k+1) in base k+1, each carrying its value."""
+    return (
+        radix.to_radix(stored_value(r, k, registry), k),
+        radix.to_radix(stored_value(r, k + 1, registry), k + 1),
+    )
 
 
 def exact_ratio(r: int, k: int, registry: Registry | None = None) -> Fraction:
@@ -78,10 +86,8 @@ class RatioAnalysis(Record):
 
 def analyze(r: int, k: int, registry: Registry | None = None) -> RatioAnalysis:
     """Exact ratio, exponent gap, leading digits, estimates, and residual."""
-    w_lo = stored_value(r, k, registry)
-    w_hi = stored_value(r, k + 1, registry)
-    rep_lo = radix.to_radix(w_lo, k)
-    rep_hi = radix.to_radix(w_hi, k + 1)
+    rep_lo, rep_hi = _expansions(r, k, registry)
+    w_lo, w_hi = rep_lo.value, rep_hi.value
     m_lo, m_hi = rep_lo.exponent, rep_hi.exponent
     gap = m_hi - m_lo
     c_lo, c_hi = rep_lo.digits[0], rep_hi.digits[0]
@@ -123,23 +129,16 @@ def exact_identity_rhs(r: int, k: int, registry: Registry | None = None) -> Frac
     ratio, so the return value equals exact_ratio(r, k); the function
     exists to let that be checked by evaluation rather than trusted.
     """
-    w_lo = stored_value(r, k, registry)
-    w_hi = stored_value(r, k + 1, registry)
-    rep_lo = radix.to_radix(w_lo, k)
-    rep_hi = radix.to_radix(w_hi, k + 1)
+    rep_lo, rep_hi = _expansions(r, k, registry)
     gap = rep_hi.exponent - rep_lo.exponent
-    tail_hi = sum(
-        (Fraction(d, (k + 1) ** i) for i, d in enumerate(rep_hi.digits)),
-        Fraction(0),
-    )
-    tail_lo = sum(
-        (Fraction(d, k ** i) for i, d in enumerate(rep_lo.digits)),
-        Fraction(0),
+    tail_hi, tail_lo = (
+        sum((Fraction(d, rep.base**i) for i, d in enumerate(rep.digits)), Fraction(0))
+        for rep in (rep_hi, rep_lo)
     )
     rhs = Fraction(k) ** gap * (1 + Fraction(1, k)) ** rep_hi.exponent * tail_hi / tail_lo
-    if rhs != Fraction(w_hi, w_lo):
+    if rhs != Fraction(rep_hi.value, rep_lo.value):
         raise AssertionError(
-            f"factored form failed to reproduce {w_hi}/{w_lo} for ({r}, {k})"
+            f"factored form failed to reproduce {rep_hi.value}/{rep_lo.value} for ({r}, {k})"
         )
     return rhs
 

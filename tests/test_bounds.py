@@ -2,6 +2,7 @@
 import pytest
 
 from vdwkit.bounds import check_theorem, table1, table2, verify_log_bound
+from vdwkit.registry import PAPER_TABLE, VdwRecord
 
 # (r, k, W) -> (n+1, k^2) for the seven stored values, in table order
 WITNESSES = [
@@ -108,6 +109,14 @@ class TestCheckTheorem:
         with pytest.raises(LookupError, match=r"W\(5, 3\)"):
             check_theorem(5, 3, registry=registry)
 
+    # w_prime is W(r, k'), so without a k' there is nothing to check it against
+    @pytest.mark.parametrize("w_prime", [9, 9.5, "x"])
+    def test_w_prime_needs_k_prime(self, registry, w_prime):
+        with pytest.raises(ValueError, match="w_prime needs a k_prime") as info:
+            check_theorem(2, 4, w=35, w_prime=w_prime, registry=registry)
+        assert f"w_prime={w_prime!r}" in str(info.value)
+        assert "k_prime=None" in str(info.value)
+
 
 # table order: (2,3), (2,4), (2,5), (2,6), (3,3), (3,4), (4,3)
 TABLE1_EXPECTED = [
@@ -181,3 +190,10 @@ class TestTable2:
         for row in table2(registry):
             n = row.n
             assert row.W < row.r ** (n + 1) <= row.r ** (row.k * row.k)
+
+    # floor_log(2000000, 5) = 9, so n + 1 = 10 > 9 = k*k for k = 3; the
+    # same value from an extension file prints (see test_cli.py)
+    def test_paper_row_past_the_square_bound_raises(self, registry):
+        registry.upsert_search_result(VdwRecord(5, 3, 2000000, (PAPER_TABLE,)))
+        with pytest.raises(AssertionError, match=r"bound chain failed for W\(5, 3\)"):
+            table2(registry)

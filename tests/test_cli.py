@@ -98,6 +98,16 @@ class TestTableCommand:
         assert len(out.splitlines()) == 9
         assert any(line.startswith("5  3") for line in out.splitlines())
 
+    def test_extension_row_past_the_square_bound_prints(self, capsys, tmp_path):
+        # the file test_false_conclusion_exits_one uses: n + 1 = 10 > 9
+        path = tmp_path / "big.txt"
+        path.write_text("5 3 2000000 user-supplied\n")
+        code, out, _ = run(
+            capsys, "table", "--which", "2", "--registry-file", str(path), "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "5,3,3.162,9,1.6094,1.0986,5^9,2000000,5^10,5^9"
+
     def test_bad_registry_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("this is not a record\n")

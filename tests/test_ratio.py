@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vdwkit._record import rational_as_dict
 from vdwkit.ratio import (
     alpha_decompose,
     analyze,
@@ -10,7 +11,6 @@ from vdwkit.ratio import (
     exact_identity_rhs,
     exact_ratio,
     gap_survey,
-    rational_as_dict,
 )
 from vdwkit.registry import USER_SUPPLIED, VdwRecord
 

@@ -541,8 +541,15 @@ class TestCompiledKernel:
     def test_engines_agree_after_every_step(self, warm_engine, r, k, T):
         engine = compiled_engine()
         for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
-            cubes = search_cubes(r, T, order)
-            for start in [[]] + cubes[:2] + [cubes[len(cubes) // 2]]:
+            # root propagation alone refutes many cubes, so beside the
+            # empty start take one refuted cube and three that search
+            probe = open_run(engine, r, k, T, order)
+            live, dead = [], []
+            for cube in search_cubes(r, T, order):
+                probe.root(cube)
+                (live if probe.step(0) == ST_PAUSED else dead).append(cube)
+            assert live, f"order={order}: every cube is refuted at its root"
+            for start in [[]] + dead[:1] + live[:2] + [live[len(live) // 2]]:
                 where = f"order={order} start={start}"
                 py = open_run("python", r, k, T, order, start)
                 jit = open_run(engine, r, k, T, order, start)
