@@ -73,9 +73,19 @@ FOLLOW_RULE = {
     "TheoremReport": lambda: check_theorem(2, 6, 4),
 }
 
-# type name -> (builder, the keys its own as_dict gives, in order)
+# type name -> (builder, the keys its as_dict gives, in order): the
+# Certificate has its own as_dict; the TheoremReport's keys are pinned
+# here because the CLI prints them as its JSON layout.
 OWN_RULE = {
     "Certificate": (_certificate, ["r", "k", "length", "colors"]),
+    "TheoremReport": (
+        lambda: check_theorem(2, 6, 4),
+        [
+            "r", "k", "k_prime", "w", "w_prime", "n", "n_prime",
+            "condition1", "condition2", "condition3", "condition3_display",
+            "k_lower_bound_holds", "conclusion_holds",
+        ],
+    ),
 }
 
 
