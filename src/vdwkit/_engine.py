@@ -1,10 +1,12 @@
 """Depth-first search kernel for fixed-length coloring targets.
 
-One kernel run answers a single question: does a valid r-coloring of
-positions 0..T-1 exist, and if so, which one does the depth-first search
-reach first?  The kernel is resumable; it pauses after a caller-chosen
-number of decisions so the orchestration layer can enforce wall-clock
-and node budgets between steps without the kernel ever reading a clock.
+One kernel run answers a question about a table of cubes of length T
+(a Walk): does a valid r-coloring of positions 0..T-1 exist inside one of
+them, and if so, which one does the depth-first search of the earliest
+such cube reach first?  The kernel is resumable; it pauses after a
+caller-chosen number of nodes so the orchestration layer can enforce
+wall-clock and node budgets between steps without the kernel ever
+reading a clock.
 
 Two engines implement the same rules:
   "jit"     _kernel.c, compiled on first use with the system C compiler
@@ -34,8 +36,9 @@ reach the same fixpoints, the same blocked colors and the same search
 tree.  The order of forced moves is each path's own, and nothing outside
 a step can see it: a step that pauses on its quota undoes to its deepest
 open frame.  So between steps a run shows its found coloring (FOUND),
-the fixpoint at which its deepest open frame was opened (PAUSED, a fresh
-run included), or nothing, every position -1 (EXHAUSTED).
+the fixpoint at which its deepest open frame was opened (PAUSED inside a
+cube), or nothing, every position -1 (no cube open: a fresh run, a pause
+between cubes, EXHAUSTED).
 
 Branching order, fixed per run: a sequence of the positions and a stop
 count.  Decide the first free position in the sequence with the most
@@ -44,8 +47,9 @@ blocked colors, taking one at once when its count reaches the stop.
   ORDER_MOST_BLOCKED  middle_out(T) with stop r-2, the most a free
                       position can have, since r-1 would force it.
 Colors are tried in ascending order, skipping blocked ones, and capped
-at one past the largest color assigned so far.  Each color tried is one
-node.  max_depth is the most decisions on one branch, the deepest
+at one past the largest color assigned so far.  Each cube opened is one
+node, its pattern node, and each color tried is one more.  A cube's
+max_depth is the most decisions on one branch inside it, the deepest
 decision frame at which a color was tried (root assumptions are not
 decisions); it is fixed by the search tree, so every engine reports the
 same.
@@ -69,13 +73,19 @@ ORDER_LOWEST the first coloring found is the lexicographically least
 valid coloring (any coloring relabels by first appearance to a
 lexicographically no larger one that the cap admits).
 
-Root assumptions: a run may start from a list of (position, color)
-pairs, assigned and propagated in order before the first decision; a
-conflict among them makes the run exhausted at once.  A run's root
-method starts it afresh from other assumptions, in any state, keeping
-what it built for length T; it then searches exactly as a fresh run
-opened with them.  search_cubes uses them to cut length T into cubes,
-each fixing the first d positions of the branching order (0, 1, ... for
+Root assumptions: a cube is a list of (position, color) pairs, assigned
+and propagated in order before the first decision; a conflict among them
+exhausts the cube at once.  A run walks the cubes of its walk: each step
+claims the next cube, charges its pattern node to the step's quota,
+starts afresh from nothing colored with the cube's assumptions, keeping
+what the run built for length T, and searches it exactly as a run of
+that cube alone would.  Before each decision it drops the cube once an
+earlier cube has found a coloring, and a run that finds one stops.
+Runs of one engine may share a walk, each claiming the cubes in order;
+the walk keeps each cube's result and the coloring of the earliest cube
+that found one.  A run opened on root assumptions alone walks a table of
+that one cube.  search_cubes uses them to cut length T into cubes, each
+fixing the first d positions of the branching order (0, 1, ... for
 ORDER_LOWEST, middle_out(T) for ORDER_MOST_BLOCKED), or a few more
 after the split at the end of (4), to one first-use pattern: each color
 at most one above the largest before it.  The cubes decide length T:
@@ -153,6 +163,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import warnings
 import weakref
 from pathlib import Path
@@ -207,19 +218,131 @@ def _progressions(k: int, T: int):
     return tuple(members), tuple(tuple(w) for w in watched), sums
 
 
-def _check_assumptions(r: int, T: int, assumptions) -> None:
-    # the C side indexes with these unchecked, and Python would wrap a
-    # negative position around
-    if any(not (0 <= p < T and 0 <= c < r) for p, c in assumptions):
-        raise ValueError(f"root assumption outside {T} positions and {r} colors")
+_ints = ctypes.POINTER(ctypes.c_int)
+
+
+class _Block(ctypes.Structure):
+    """walk_t of _kernel.c: a table of cubes, the claims on it and each
+    cube's result (see Walk)."""
+
+    _fields_ = [
+        ("n", ctypes.c_int),
+        ("offset", _ints),
+        ("pos", _ints),
+        ("col", _ints),
+        ("next", ctypes.c_int),
+        ("best", ctypes.c_int),
+        ("lock", ctypes.c_int),
+        ("status", _ints),
+        ("depth", _ints),
+        ("colors", _ints),
+        ("nodes", ctypes.POINTER(ctypes.c_longlong)),
+    ]
+
+
+def _table(r: int, T: int, cubes) -> tuple:
+    """The cubes as one flat, range-checked table: their count, and the
+    offsets, positions and colors of their root assumptions."""
+    offsets, cells = [0], []
+    for cube in cubes:
+        # the C side indexes with these unchecked, and Python would wrap a
+        # negative position around
+        if any(not (0 <= p < T and 0 <= c < r) for p, c in cube):
+            raise ValueError(f"root assumption outside {T} positions and {r} colors")
+        cells.extend(cube)
+        offsets.append(len(cells))
+    positions, colors = tuple(zip(*cells)) or ((), ())
+    array = ctypes.c_int * max(len(cells), 1)
+    return (
+        len(cubes), (ctypes.c_int * len(offsets))(*offsets), array(*positions),
+        array(*colors),
+    )
+
+
+# small derivations repeat their few lengths, and a climb such as
+# W(2, 5)'s visits a few dozen
+@functools.lru_cache(maxsize=64)
+def _cube_table(r: int, T: int, order: int) -> tuple:
+    return _table(r, T, search_cubes(r, T, order))
+
+
+class Walk:
+    """A table of cubes of length T, searched by the runs opened on it.
+
+    The runs share its claims: each claims the next cube in order, skips
+    it when it lies past best, the earliest cube that found a coloring so
+    far, and otherwise searches it until a verdict or until best moves
+    below it.  Each cube's status (0 while unclaimed, ST_PAUSED while
+    undecided), nodes and depth (its max_depth) are written by the run
+    that claimed it; colors holds the coloring of cube best.  The runs on one walk
+    are of one engine: the compiled kernel claims with atomics, the
+    Python reference under the walk's lock."""
+
+    def __init__(self, r: int, T: int, table: tuple):
+        count, offset, pos, col = table
+        self.r, self.T, self.cubes = r, T, count
+        self.status = (ctypes.c_int * count)()
+        self.nodes = (ctypes.c_longlong * count)()
+        self.depth = (ctypes.c_int * count)()
+        self.colors = (ctypes.c_int * T)()
+        # the block refers to, and keeps alive, the table and the results
+        self.block = _Block(
+            count, offset, pos, col, 0, count, 0, self.status, self.depth,
+            self.colors, self.nodes,
+        )
+        self._lock = threading.Lock()
+
+    @property
+    def best(self) -> int:
+        return self.block.best
+
+    @property
+    def max_depth(self) -> int:
+        return max(self.depth, default=0)
+
+    def coloring(self) -> list[int] | None:
+        """The coloring of the earliest cube that found one, if any."""
+        return list(self.colors) if self.best < self.cubes else None
+
+    # the Python reference's side of the claims
+
+    def claim(self) -> int:
+        """The next cube to search, skipping the moot ones; -1 when none
+        is left."""
+        block = self.block
+        while True:
+            with self._lock:
+                i = block.next
+                block.next = i + 1
+            if i >= self.cubes:
+                return -1
+            if i < block.best:
+                return i
+
+    def record(self, i: int, status: int, nodes: int, depth: int) -> None:
+        self.status[i], self.nodes[i], self.depth[i] = status, nodes, depth
+
+    def found(self, i: int, colors) -> None:
+        """Cube i found the coloring colors."""
+        with self._lock:
+            if i < self.block.best:
+                self.block.best = i
+                self.colors[:] = colors
+
+
+def open_walk(r: int, T: int, order: int) -> Walk:
+    """A fresh walk of the cubes of search_cubes(r, T, order), whose table
+    is built once per length."""
+    return Walk(r, T, _cube_table(r, T, order))
 
 
 class PythonRun:
     """Search state for one target length T on the plain reference kernel:
-    unit propagation with two watched members per negative clause."""
+    unit propagation with two watched members per negative clause.  It
+    walks the cubes of its walk as the compiled kernel does."""
 
-    def __init__(self, r: int, k: int, T: int, order: int, assumptions=()):
-        self.r = r
+    def __init__(self, r: int, k: int, T: int, order: int, walk: Walk):
+        self.r, self.walk = r, walk
         self.members, watched, sums = _progressions(k, T)
         # watches[c][p]: the progressions whose clause in color c watches
         # p; pair[c][a]: the sum of the two positions that clause watches,
@@ -234,29 +357,48 @@ class PythonRun:
             self.sequence, self.enough = middle_out(T), r - 2
         else:
             self.sequence, self.enough = range(T), 0
-        self.root(assumptions)
-
-    def root(self, assumptions=()) -> None:
-        """Start afresh from nothing colored with the given root
-        assumptions.  The watches stay where they are: with nothing
-        colored, any two members of a clause may be its watches."""
-        _check_assumptions(self.r, len(self.col), assumptions)
-        self._undo(0)
         # one frame per decision: (position, color tried, maxused, trail mark)
         self.frames: list[tuple[int, int, int, int]] = []
-        self.maxused = -1
-        self.max_depth = self.nodes = 0
+        # the cube open in the walk (-1 when none), its nodes and depth
+        self.cube = -1
+        self.cube_nodes = self.cube_depth = self.nodes = 0
         self.status = ST_PAUSED
-        for p, c in assumptions:
+
+    @property
+    def max_depth(self) -> int:
+        """The most decisions on one branch in any cube of the walk."""
+        return self.walk.max_depth
+
+    def _root(self) -> int:
+        """Start the open cube afresh from nothing colored, with its root
+        assumptions assigned and propagated in order, and open decision
+        level 0; returns its status.  The watches stay where they are:
+        with nothing colored, any two members of a clause may be its
+        watches."""
+        block = self.walk.block
+        self._undo(0)
+        self.frames = []
+        self.maxused = -1
+        for j in range(block.offset[self.cube], block.offset[self.cube + 1]):
+            p, c = block.pos[j], block.col[j]
             have = self.col[p]
             if have != c and (have >= 0 or not self._propagate(p, c)):
-                self.status = ST_EXHAUSTED
-                return
+                return ST_EXHAUSTED
         q = self._select()
         if q < 0:
+            return ST_FOUND
+        self.frames.append((q, -1, self.maxused, len(self.trail)))
+        return ST_PAUSED
+
+    def _end_cube(self, status: int) -> None:
+        """End the open cube: a coloring found ends the run, any other
+        status closes the cube."""
+        self.walk.record(self.cube, status, self.cube_nodes, self.cube_depth)
+        if status == ST_FOUND:
             self.status = ST_FOUND
+            self.walk.found(self.cube, self.col)
         else:
-            self.frames.append((q, -1, self.maxused, len(self.trail)))
+            self.cube = -1
 
     def _undo(self, mark: int) -> None:
         trail, col, false = self.trail, self.col, self.false
@@ -325,12 +467,33 @@ class PythonRun:
         return best
 
     def step(self, node_quota: int) -> int:
-        """Run until FOUND, EXHAUSTED, or node_quota more decisions; a
-        pause undoes to the deepest open frame."""
-        if self.status in (ST_FOUND, ST_EXHAUSTED):
-            return self.status
-        frames, nodes = self.frames, 0
-        while nodes < node_quota:
+        """Walk the cubes until a coloring is found (FOUND), no cube is
+        left to claim (EXHAUSTED) or node_quota more nodes are spent
+        (PAUSED): one per cube opened and one per color tried.  A pause
+        undoes to the deepest open frame."""
+        walk, nodes = self.walk, 0
+        while self.status == ST_PAUSED:
+            if self.cube < 0:
+                if nodes >= node_quota:
+                    break
+                self.cube = walk.claim()
+                if self.cube < 0:
+                    self.status = ST_EXHAUSTED
+                    break
+                nodes += 1
+                self.cube_nodes, self.cube_depth = 1, 0
+                status = self._root()
+                if status != ST_PAUSED:
+                    self._end_cube(status)
+                continue
+            frames = self.frames
+            if nodes >= node_quota:
+                self._undo(frames[-1][3])
+                walk.record(self.cube, ST_PAUSED, self.cube_nodes, self.cube_depth)
+                break
+            if walk.block.best < self.cube:
+                self._end_cube(ST_PAUSED)
+                continue
             p, tried, maxused, mark = frames[-1]
             self._undo(mark)
             cmax = min(maxused + 1, self.r - 1)
@@ -340,27 +503,26 @@ class PythonRun:
             if c > cmax:
                 frames.pop()
                 if not frames:
-                    self.status = ST_EXHAUSTED
-                    break
+                    self._end_cube(ST_EXHAUSTED)
                 continue
             frames[-1] = (p, c, maxused, mark)
             nodes += 1
-            self.max_depth = max(self.max_depth, len(frames))
+            self.cube_nodes += 1
+            self.cube_depth = max(self.cube_depth, len(frames))
             self.maxused = maxused
             if self._propagate(p, c):
                 q = self._select()
                 if q < 0:
-                    self.status = ST_FOUND
-                    break
-                frames.append((q, -1, self.maxused, len(self.trail)))
-        else:
-            # the quota ran out: rest at the deepest open frame's fixpoint
-            self._undo(frames[-1][3])
+                    self._end_cube(ST_FOUND)
+                else:
+                    frames.append((q, -1, self.maxused, len(self.trail)))
         self.nodes += nodes
         return self.status
 
     def coloring(self) -> list[int]:
-        if self.status == ST_EXHAUSTED:
+        """The open cube's coloring, -1 where a position is free; -1
+        everywhere when no cube is open."""
+        if self.cube < 0:
             return [-1] * len(self.col)
         return list(self.col)
 
@@ -368,28 +530,13 @@ class PythonRun:
 class CompiledRun:
     """Search state for one target length T on the compiled kernel."""
 
-    def __init__(self, lib, r: int, k: int, T: int, order: int, assumptions=()):
-        handle = lib.vdw_new(r, k, T, order)
+    def __init__(self, lib, r: int, k: int, T: int, order: int, walk: Walk):
+        handle = lib.vdw_new(r, k, T, order, walk.block)
         if not handle:
             raise MemoryError(f"kernel state for T={T} could not be allocated")
-        self._lib, self._handle, self.r, self.T = lib, handle, r, T
+        # the run holds the walk, whose block the kernel reads and writes
+        self._lib, self._handle, self.T, self.walk = lib, handle, T, walk
         self._free = weakref.finalize(self, lib.vdw_free, handle)
-        # the cubes of one length share their positions, so their array
-        # is built once per run
-        self._positions, self._pos = None, None
-        self.root(assumptions)
-
-    def root(self, assumptions=()) -> None:
-        """Start afresh from nothing colored with the given root
-        assumptions."""
-        _check_assumptions(self.r, self.T, assumptions)
-        n = len(assumptions)
-        positions, colors = tuple(zip(*assumptions)) or ((), ())
-        if positions != self._positions:
-            self._positions = positions
-            self._pos = (ctypes.c_int * max(n, 1))(*positions)
-        cols = (ctypes.c_int * max(n, 1))(*colors)
-        self._lib.vdw_root(self._handle, n, self._pos, cols)
 
     def step(self, node_quota: int) -> int:
         return self._lib.vdw_step(self._handle, node_quota)
@@ -400,7 +547,8 @@ class CompiledRun:
 
     @property
     def max_depth(self) -> int:
-        return self._lib.vdw_max_depth(self._handle)
+        """The most decisions on one branch in any cube of the walk."""
+        return self.walk.max_depth
 
     def coloring(self) -> list[int]:
         out = (ctypes.c_int * self.T)()
@@ -494,18 +642,14 @@ def compiled_library():
             stacklevel=2,
         )
         return None
-    handle, ints = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int)
-    lib.vdw_new.argtypes = [ctypes.c_int] * 4
+    handle = ctypes.c_void_p
+    lib.vdw_new.argtypes = [ctypes.c_int] * 4 + [ctypes.POINTER(_Block)]
     lib.vdw_new.restype = handle
-    lib.vdw_root.argtypes = [handle, ctypes.c_int, ints, ints]
-    lib.vdw_root.restype = ctypes.c_int
     lib.vdw_step.argtypes = [handle, ctypes.c_longlong]
     lib.vdw_step.restype = ctypes.c_int
     lib.vdw_nodes.argtypes = [handle]
     lib.vdw_nodes.restype = ctypes.c_longlong
-    lib.vdw_max_depth.argtypes = [handle]
-    lib.vdw_max_depth.restype = ctypes.c_int
-    lib.vdw_coloring.argtypes = [handle, ints]
+    lib.vdw_coloring.argtypes = [handle, _ints]
     lib.vdw_coloring.restype = None
     lib.vdw_free.argtypes = [handle]
     lib.vdw_free.restype = None
@@ -522,15 +666,22 @@ def resolve_engine(engine: str | None) -> str:
     return "jit"
 
 
-def open_run(engine: str, r: int, k: int, T: int, order: int, assumptions=()):
-    """A fresh run on a resolved engine (see resolve_engine).  Its root
-    method starts it again from other root assumptions."""
+def open_run(engine: str, r: int, k: int, T: int, order: int, assumptions=(),
+             walk: Walk | None = None):
+    """A run on a resolved engine (see resolve_engine) that walks the cubes
+    of walk, or else a walk of one cube, the given root assumptions."""
     # the C side indexes with these unchecked
     if r < 2 or k < 3 or T < 1 or order not in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
         raise ValueError(f"bad kernel parameters r={r} k={k} T={T} order={order}")
+    if walk is None:
+        walk = Walk(r, T, _table(r, T, [assumptions]))
+    elif assumptions:
+        raise ValueError("a run takes root assumptions or a walk, not both")
+    elif (walk.r, walk.T) != (r, T):
+        raise ValueError(f"a walk of r={walk.r} T={walk.T} opened with r={r} T={T}")
     if engine == "jit":
-        return CompiledRun(compiled_library(), r, k, T, order, assumptions)
-    return PythonRun(r, k, T, order, assumptions)
+        return CompiledRun(compiled_library(), r, k, T, order, walk)
+    return PythonRun(r, k, T, order, walk)
 
 
 def search_cubes(r: int, T: int, order: int) -> list[list[tuple[int, int]]]:

@@ -1,11 +1,12 @@
-/* Depth-first search kernel for one fixed target length T.
+/* Depth-first search kernel for the cubes of one fixed target length T.
  *
  * vdwkit._engine compiles this file on first use with the system C
  * compiler and loads it with ctypes.  The search rules (branching order,
- * colour symmetry, propagation, root assumptions) are documented in the
- * _engine module docstring; the plain Python reference kernel there
- * implements the same rules, and the two must agree node for node.
- * max_depth is the deepest decision frame at which a colour was tried.
+ * colour symmetry, propagation, root assumptions, the walk of the cubes)
+ * are documented in the _engine module docstring; the plain Python
+ * reference kernel there implements the same rules, and the two must
+ * agree node for node.  A cube's depth is the deepest decision frame at
+ * which a colour was tried.
  *
  * Two propagation paths give the same fixpoints and therefore the same
  * search tree:
@@ -30,7 +31,7 @@
  * computes it from T, the mask path from the free mask.
  * Each path processes forced moves in its own order, and no caller sees
  * it: a step that pauses on its quota undoes to its deepest open frame,
- * and an exhausted run reports no colouring.
+ * and a run with no cube open reports no colouring.
  *
  * Assigning p := c on the mask path blocks c at every position x that
  * forms a 3-term progression with p and some q in M[c].  p plays one of
@@ -57,8 +58,11 @@
  * is a conflict, and the lowest with r-1 is forced to its one unblocked
  * colour.
  *
- * One run serves many cubes of its length: vdw_root clears the state and
- * applies the next cube's root assumptions.
+ * A run walks a table of cubes of its length (walk_t) that other runs may
+ * share: vdw_step claims each cube with an atomic fetch-add, roots and
+ * searches it, and drops it before any decision once an earlier cube has
+ * found a colouring.  A run that finds one stops, since every cube it
+ * could claim next is moot.
  */
 #include <stdlib.h>
 #include <string.h>
@@ -78,10 +82,28 @@ typedef struct {
     int pos, color, maxused, mark;
 } frame_t;
 
+/* A table of cubes and the claims of the runs that walk it, laid out as
+ * _engine._Block.  Cube i's root assumptions are (pos[j], col[j]) for
+ * offset[i] <= j < offset[i + 1].  next is the next cube to claim, best
+ * the earliest cube that found a colouring (n while none has), and lock
+ * guards best with colours, that cube's colouring.  Per cube, status
+ * (0 while unclaimed), nodes and depth are written by its claimer. */
+typedef struct {
+    int n;
+    const int *offset, *pos, *col;
+    int next, best, lock;
+    int *status, *depth, *colours;
+    long long *nodes;
+} walk_t;
+
 typedef struct {
     int r, k, T, order, masks;
-    int status, depth, maxused, maxdepth;
-    long long nodes;
+    int status, depth, maxused;
+    /* the walk, the cube open in it (-1 when none) and that cube's nodes
+     * and deepest decision frame */
+    walk_t *walk;
+    int cube, cube_depth;
+    long long nodes, cube_nodes;
     int *col;
     frame_t *frames;
     /* counter path: per progression a, ap[a * (r + 2)] holds its first
@@ -376,17 +398,109 @@ static void restore_frame(run_t *s, int d)
         c_undo(s, s->frames[d].mark);
 }
 
+/* ---- the walk --------------------------------------------------------- */
+
+/* The next cube to search, claimed in order, skipping the moot ones past
+ * the earliest that found a colouring; -1 when none is left. */
+static int claim(walk_t *w)
+{
+    for (;;) {
+        int i = __atomic_fetch_add(&w->next, 1, __ATOMIC_RELAXED);
+        if (i >= w->n)
+            return -1;
+        if (i < __atomic_load_n(&w->best, __ATOMIC_RELAXED))
+            return i;
+    }
+}
+
+/* Start the open cube afresh from nothing coloured, with its root
+ * assumptions applied and propagated, and open decision level 0; returns
+ * its status.  On the counter path the watches stay where they are: with
+ * nothing coloured, any two members of a clause may be its watches. */
+static int root_cube(run_t *s)
+{
+    const walk_t *w = s->walk;
+    s->depth = 0;
+    s->maxused = -1;
+    if (s->masks) {
+        memset(s->cur, 0, F_BLOCKS * (size_t)s->r * sizeof(mask_t));
+        s->cur[F_BLOCKS * s->r] = s->all;
+    } else {
+        c_undo(s, 0);
+    }
+    for (int j = w->offset[s->cube]; j < w->offset[s->cube + 1]; j++) {
+        int p = w->pos[j], c = w->col[j], have = colour_at(s, p);
+        if (have == c)
+            continue;
+        if (have >= 0 || !propagate(s, p, c))
+            return ST_EXHAUSTED;
+    }
+    return push_frame(s, 0) ? ST_PAUSED : ST_FOUND;
+}
+
+/* Write the open cube's status, nodes and depth into the walk. */
+static void record(run_t *s, int status)
+{
+    walk_t *w = s->walk;
+    w->status[s->cube] = status;
+    w->nodes[s->cube] = s->cube_nodes;
+    w->depth[s->cube] = s->cube_depth;
+}
+
+/* End the open cube with the given status: a colouring found ends the
+ * run, any other status closes the cube. */
+static void end_cube(run_t *s, int status)
+{
+    walk_t *w = s->walk;
+    record(s, status);
+    if (status != ST_FOUND) {
+        s->cube = -1;
+        return;
+    }
+    s->status = ST_FOUND;
+    while (__atomic_exchange_n(&w->lock, 1, __ATOMIC_ACQUIRE))
+        ;
+    if (s->cube < w->best) {
+        __atomic_store_n(&w->best, s->cube, __ATOMIC_RELAXED);
+        for (int p = 0; p < s->T; p++)
+            w->colours[p] = colour_at(s, p);
+    }
+    __atomic_store_n(&w->lock, 0, __ATOMIC_RELEASE);
+}
+
+/* Walk the cubes until a colouring is found (ST_FOUND), no cube is left
+ * to claim (ST_EXHAUSTED) or quota more nodes are spent (ST_PAUSED): one
+ * per cube opened and one per colour tried.  A pause undoes to the
+ * deepest open frame. */
 int vdw_step(run_t *s, long long quota)
 {
-    if (s->status == ST_FOUND || s->status == ST_EXHAUSTED)
-        return s->status;
-    int r = s->r, status;
+    walk_t *w = s->walk;
+    int r = s->r;
     long long nodes = 0;
-    for (;;) {
+    while (s->status == ST_PAUSED) {
+        if (s->cube < 0) {
+            if (nodes >= quota)
+                break;
+            if ((s->cube = claim(w)) < 0) {
+                s->status = ST_EXHAUSTED;
+                break;
+            }
+            nodes++;
+            s->cube_nodes = 1;
+            s->cube_depth = 0;
+            int status = root_cube(s);
+            if (status != ST_PAUSED)
+                end_cube(s, status);
+            continue;
+        }
         if (nodes >= quota) {
             restore_frame(s, s->depth);
-            status = ST_PAUSED;
+            record(s, ST_PAUSED);
             break;
+        }
+        if (__atomic_load_n(&w->best, __ATOMIC_RELAXED) < s->cube) {
+            end_cube(s, ST_PAUSED);
+            continue;
         }
         int d = s->depth;
         frame_t *f = s->frames + d;
@@ -398,35 +512,31 @@ int vdw_step(run_t *s, long long quota)
         while (c <= cmax && is_blocked(s, p, c))
             c++;
         if (c > cmax) {
-            if (--s->depth < 0) {
-                status = ST_EXHAUSTED;
-                break;
-            }
+            if (--s->depth < 0)
+                end_cube(s, ST_EXHAUSTED);
             continue;
         }
         f->color = c;
         nodes++;
-        if (d + 1 > s->maxdepth)
-            s->maxdepth = d + 1;
+        s->cube_nodes++;
+        if (d + 1 > s->cube_depth)
+            s->cube_depth = d + 1;
         s->maxused = f->maxused;
-        if (propagate(s, p, c) && !push_frame(s, d + 1)) {
-            status = ST_FOUND;
-            break;
-        }
+        if (propagate(s, p, c) && !push_frame(s, d + 1))
+            end_cube(s, ST_FOUND);
     }
     s->nodes += nodes;
-    s->status = status;
-    return status;
+    return s->status;
 }
 
 long long vdw_nodes(const run_t *s) { return s->nodes; }
 
-int vdw_max_depth(const run_t *s) { return s->maxdepth; }
-
+/* The open cube's colouring, -1 where a position is free; -1 everywhere
+ * when no cube is open */
 void vdw_coloring(const run_t *s, int *out)
 {
     for (int p = 0; p < s->T; p++)
-        out[p] = s->status == ST_EXHAUSTED ? -1 : colour_at(s, p);
+        out[p] = s->cube < 0 ? -1 : colour_at(s, p);
 }
 
 void vdw_free(run_t *s)
@@ -507,10 +617,10 @@ static int build_masks(run_t *s)
     return 1;
 }
 
-/* A run over positions 0..T-1, to be given its root assumptions by
- * vdw_root; NULL when memory runs out.  The caller validates the
- * arguments (r >= 2, k >= 3, T >= 1). */
-run_t *vdw_new(int r, int k, int T, int order)
+/* A run over positions 0..T-1 that walks the cubes of walk; NULL when
+ * memory runs out.  The caller validates the arguments (r >= 2, k >= 3,
+ * T >= 1, the walk's cubes inside T positions and r colours). */
+run_t *vdw_new(int r, int k, int T, int order, walk_t *walk)
 {
     run_t *s = calloc(1, sizeof(run_t));
     if (!s)
@@ -520,6 +630,9 @@ run_t *vdw_new(int r, int k, int T, int order)
     s->T = T;
     s->order = order;
     s->masks = k == 3 && T <= 128;
+    s->walk = walk;
+    s->cube = -1;
+    s->status = ST_PAUSED;
     s->col = malloc(T * sizeof(int));
     s->frames = malloc((T + 1) * sizeof(frame_t));
     if (!s->col || !s->frames || !(s->masks ? build_masks(s) : build_watches(s))) {
@@ -529,30 +642,4 @@ run_t *vdw_new(int r, int k, int T, int order)
     for (int p = 0; p < T; p++)
         s->col[p] = -1;
     return s;
-}
-
-/* Start the search of s afresh from nothing coloured, with the given root
- * assumptions applied and propagated; returns the status.  On the counter
- * path the watches stay where they are: with nothing coloured, any two
- * members of a clause may be its watches.  The caller validates the
- * assumptions (in range). */
-int vdw_root(run_t *s, int n_assume, const int *assume_pos, const int *assume_col)
-{
-    s->nodes = 0;
-    s->maxdepth = s->depth = 0;
-    s->maxused = -1;
-    if (s->masks) {
-        memset(s->cur, 0, F_BLOCKS * (size_t)s->r * sizeof(mask_t));
-        s->cur[F_BLOCKS * s->r] = s->all;
-    } else {
-        c_undo(s, 0);
-    }
-    for (int i = 0; i < n_assume; i++) {
-        int p = assume_pos[i], c = assume_col[i], have = colour_at(s, p);
-        if (have == c)
-            continue;
-        if (have >= 0 || !propagate(s, p, c))
-            return s->status = ST_EXHAUSTED;
-    }
-    return s->status = push_frame(s, 0) ? ST_PAUSED : ST_FOUND;
 }

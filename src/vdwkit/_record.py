@@ -8,7 +8,8 @@ statement.  The ValueError names the argument, and the CLI turns it into
 exit 2.
 
 decimal_text is the one way a number becomes display decimals: evaluated
-in decimal with 25 guard digits past the places shown, then quantized,
+in decimal with 25 guard digits past the places shown (and past the
+integer digits, when there are more than 25 of them), then quantized,
 rounding half-even or, for the truncated table columns, down.  No verdict
 reads these strings.
 
@@ -43,11 +44,17 @@ def decimal_text(compute, places: int, rounding=decimal.ROUND_HALF_EVEN) -> str:
 
     compute takes no argument and returns a Decimal; it runs inside the
     widened context, so its divisions, logarithms and roots carry the
-    guard digits.  rounding is ROUND_HALF_EVEN or ROUND_DOWN.
+    guard digits.  A value with more than 25 integer digits is computed
+    again with the precision widened by them, since quantize keeps every
+    integer digit.  rounding is ROUND_HALF_EVEN or ROUND_DOWN.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = places + 25
-        return str(compute().quantize(decimal.Decimal(1).scaleb(-places), rounding=rounding))
+        value = compute()
+        if value.adjusted() >= 25:
+            ctx.prec += value.adjusted() + 1
+            value = compute()
+        return str(value.quantize(decimal.Decimal(1).scaleb(-places), rounding=rounding))
 
 
 def rational_as_dict(q: Fraction, places: int = 6) -> dict:

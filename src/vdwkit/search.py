@@ -25,8 +25,8 @@ from ._engine import (
     ST_FOUND,
     ST_PAUSED,
     open_run,
+    open_walk,
     resolve_engine,
-    search_cubes,
 )
 from ._record import Record, require_int
 from .registry import SEARCH_DERIVED, VdwRecord
@@ -39,15 +39,16 @@ MODE_WITNESS_PROOF = "witness-proof"
 MODE_CANONICAL = "canonical"
 MODES = (MODE_WITNESS_PROOF, MODE_CANONICAL)
 
-# decisions per kernel step; the deadline, the node pool and moot cubes
-# are checked between steps.  On the compiled kernel 1024 decisions take
+# nodes (decisions and cubes opened) per kernel step; the deadline and the
+# node pool are checked between steps, moot cubes inside the kernel before
+# each decision.  On the compiled kernel 1024 decisions take
 # from 0.4 ms (W(4,3) at length 76) to 25 ms (W(2,6) at length 697), so a
 # budget stops within tens of milliseconds while the per-step overhead
 # stays near 1% on the fastest path; the Python reference can need
 # seconds for them at long lengths
 _STEP = 1024
 
-# the calling thread searches a length alone, _SOLO_STEP decisions at a
+# the calling thread searches a length alone, _SOLO_STEP nodes at a
 # time, until the length has taken _SOLO_SECONDS; only then do the helper
 # threads start.  Most short lengths end first: W(2,3), W(3,3) and W(2,4)
 # take a fraction of a millisecond per length, less than starting and
@@ -173,10 +174,11 @@ class SearchBudget:
 @dataclass(frozen=True)
 class SearchStats(Record):
     """nodes counts decisions: one per opened cube, for its pattern, and
-    one per color tried inside it.  Both come from a node budget's pool,
-    the pattern node before the cube is opened, so nodes never exceeds
-    max_nodes.  A cube that search_cubes leaves out as the mirror image
-    of a kept one is never opened and counts none.
+    one per color tried inside it.  Both are spent from the quota of a
+    kernel step, which a node budget's pool grants, so nodes never
+    exceeds max_nodes.  A cube that search_cubes leaves out as the mirror
+    image of a kept one, or that is moot when claimed, is never opened
+    and counts none.
     max_depth is the most decisions on one branch inside a cube: the
     deepest decision frame at which a color was tried.  A cube's pattern
     and other root assumptions are not decisions.  It is fixed by the
@@ -455,73 +457,53 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     """Search length T.  Returns (verdict, colors, nodes, max_depth) with
     verdict ST_FOUND, ST_EXHAUSTED, or None when the budget stopped it.
 
-    The length is cut into the cubes of search_cubes, and every worker
-    runs work(): it claims the next cube in order, opens its kernel run
-    for its first cube or re-roots it for a later one, and steps the run
-    until a verdict, until the cube is moot or until budget.draw, which
-    also reads the deadline, grants nothing.  The run is freed on the
-    thread that opened it.  The calling thread is a worker, at first the
-    only one: it steps _SOLO_STEP decisions at a time, and once the
+    The length is cut into the cubes of search_cubes, one walk of them
+    (open_walk), and every worker runs work(): it opens a kernel run on
+    the walk and steps it, each step claiming, searching and dropping
+    moot cubes inside the kernel, until the run stops or budget.draw,
+    which also reads the deadline, grants nothing.  The run is freed on
+    the thread that opened it.  The calling thread is a worker, at first
+    the only one: it steps _SOLO_STEP nodes at a time, and once the
     length has taken _SOLO_SECONDS it starts min(workers, cubes) - 1
     helper threads.  So a short length, and any length on one worker (the
     Python engine always), starts no thread.  A cube that finds a
     coloring makes the later ones moot; the earliest finding cube wins,
     so a search that runs to a verdict returns the same coloring for any
-    worker count.  The length is exhausted when every cube of
-    search_cubes is.  An exception in any worker, an interrupt of the
-    calling thread included, stops every worker at its next step; it is
-    raised once the helpers have finished.
+    worker count.  The length is exhausted when every cube of the walk
+    is.  An exception in any worker, an interrupt of the calling thread
+    included, stops every worker at its next step; it is raised once the
+    helpers have finished.
     """
     solo_end = time.perf_counter() + _SOLO_SECONDS
-    cubes = search_cubes(r, T, order)
+    walk = open_walk(r, T, order)
     lock = threading.Lock()
-    claims = iter(range(len(cubes)))
-    best_found = len(cubes)  # smallest cube index that found a coloring
     errors: list[BaseException] = []  # any entry stops every worker
-    # (status, nodes, max_depth, colors) per opened cube, ST_PAUSED if undecided
-    results: list = [None] * len(cubes)
     helpers: list[threading.Thread] = []
-    wanted = min(workers, len(cubes)) - 1  # helpers not started yet
+    wanted = min(workers, walk.cubes) - 1  # helpers not started yet
 
     def work() -> None:
-        nonlocal best_found, wanted
-        # this worker's run, local so that it is freed on this thread
-        run = None
+        nonlocal wanted
         try:
-            while True:
-                with lock:
-                    idx = None if errors else next(claims, None)
-                if idx is None:
-                    return
-                # the cube's pattern node comes from the pool, so a node
+            # this worker's run, local so that it is freed on this thread
+            run = open_run(engine, r, k, T, order, walk=walk)
+            status = ST_PAUSED
+            while status == ST_PAUSED and not errors:
+                if wanted and time.perf_counter() >= solo_end:
+                    # zero first: a helper that read a nonzero count
+                    # would start helpers of its own
+                    count, wanted = wanted, 0
+                    for _ in range(count):
+                        helper = threading.Thread(target=work)
+                        helper.start()
+                        helpers.append(helper)
+                # each cube's pattern node comes from the quota, so a node
                 # budget caps the reported nodes
-                if best_found < idx or not budget.draw(1):
-                    continue
-                if run is None:
-                    run = open_run(engine, r, k, T, order, cubes[idx])
-                else:
-                    run.root(cubes[idx])
-                status = ST_PAUSED
-                while status == ST_PAUSED and not errors and best_found >= idx:
-                    if wanted and time.perf_counter() >= solo_end:
-                        # zero first: a helper that read a nonzero count
-                        # would start helpers of its own
-                        count, wanted = wanted, 0
-                        for _ in range(count):
-                            helper = threading.Thread(target=work)
-                            helper.start()
-                            helpers.append(helper)
-                    quota = budget.draw(_SOLO_STEP if wanted else _STEP)
-                    if not quota:
-                        break
-                    before = run.nodes
-                    status = run.step(quota)
-                    budget.refund(quota - (run.nodes - before))
-                colors = run.coloring() if status == ST_FOUND else None
-                results[idx] = (status, 1 + run.nodes, run.max_depth, colors)
-                if status == ST_FOUND:
-                    with lock:
-                        best_found = min(best_found, idx)
+                quota = budget.draw(_SOLO_STEP if wanted else _STEP)
+                if not quota:
+                    break
+                before = run.nodes
+                status = run.step(quota)
+                budget.refund(quota - (run.nodes - before))
         except BaseException as exc:
             with lock:
                 errors.append(exc)
@@ -539,12 +521,10 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     if errors:
         raise errors[0]
 
-    opened = [res for res in results if res is not None]
-    nodes = sum(res[1] for res in opened)
-    max_depth = max((res[2] for res in opened), default=0)
-    if best_found < len(cubes):
-        return ST_FOUND, results[best_found][3], nodes, max_depth
-    if all(res is not None and res[0] == ST_EXHAUSTED for res in results):
+    nodes, max_depth = sum(walk.nodes), walk.max_depth
+    if walk.best < walk.cubes:
+        return ST_FOUND, walk.coloring(), nodes, max_depth
+    if set(walk.status) == {ST_EXHAUSTED}:
         return ST_EXHAUSTED, None, nodes, max_depth
     return None, None, nodes, max_depth
 

@@ -60,14 +60,15 @@ def _timed(fn, *args):
 def test_exponent_table_rows_and_displays():
     rows = table1()
     assert [(q.r, q.k, q.n, q.W) for q in rows] == TABLE_ROWS
-    decimal.getcontext().prec = 50
-    for row in rows:
-        true_log = decimal.Decimal(row.W).ln() / decimal.Decimal(row.r).ln()
-        shown = decimal.Decimal(row.exponent)
-        assert int(shown) == row.n
-        assert abs(shown - true_log) <= decimal.Decimal("0.0000051"), (
-            f"log_{row.r} {row.W}: shown {row.exponent}, true {true_log}"
-        )
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for row in rows:
+            true_log = decimal.Decimal(row.W).ln() / decimal.Decimal(row.r).ln()
+            shown = decimal.Decimal(row.exponent)
+            assert int(shown) == row.n
+            assert abs(shown - true_log) <= decimal.Decimal("0.0000051"), (
+                f"log_{row.r} {row.W}: shown {row.exponent}, true {true_log}"
+            )
     # exact power: the display must not echo a misrounded tail
     assert rows[4].exponent == "3.00000"
 

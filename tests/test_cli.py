@@ -209,6 +209,16 @@ class TestRatioCommand:
         code, _, err = run(capsys, "ratio", "--r", "2", "--k", "6")
         assert code == 2 and "W(2, 7)" in err
 
+    # a 41-digit extension value: its 38-digit ratio still prints exactly
+    def test_values_past_the_guard_digits_print(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"2 7 {10**40} user-supplied\n")
+        code, out, _ = run(
+            capsys, "ratio", "--r", "2", "--k", "6", "--registry-file", str(path)
+        )
+        assert code == 0
+        assert f"= {10**40 // 4}/283 = 8833922261484098939929328621908127208.480565" in out
+
 
 class TestSearchCommand:
     def test_exact_search_with_certificate(self, capsys, tmp_path):

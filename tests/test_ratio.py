@@ -143,3 +143,7 @@ class TestRationalAsDict:
 
     def test_integers_render_with_full_places(self):
         assert rational_as_dict(Fraction(2))["decimal"] == "2.000000"
+
+    # more integer digits than the 25 guard digits, all of them kept
+    def test_values_past_the_guard_digits_keep_every_digit(self):
+        assert rational_as_dict(Fraction(10**40, 3))["decimal"] == "3" * 40 + ".333333"

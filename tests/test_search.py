@@ -21,8 +21,10 @@ from vdwkit._engine import (
     SPLIT_FROM,
     SPLIT_LEVELS,
     compiled_library,
+    Walk,
     middle_out,
     open_run,
+    open_walk,
     search_cubes,
 )
 from vdwkit.registry import USER_SUPPLIED, Registry, RegistryConflictError, VdwRecord
@@ -349,31 +351,28 @@ class TestComputeVdw:
         assert calls == [(2, 3)]
         assert first.certificate == second.certificate
 
-    # each worker opens one run per length and re-roots it for every later
-    # cube, so with no solo phase the second open is the helper's first
+    # each worker opens one run per length and walks the cubes in it, so
+    # with no solo phase the second open is the helper's first.  One node
+    # per step lets the other worker see the error before the walk ends
     def test_worker_errors_reach_the_caller(
         self, warm_engine, monkeypatch, helpers_started
     ):
         lock = threading.Lock()
-        opened, openers, rooted = [], [], []
+        opened, openers, walks = [], [], []
         real_open = search.open_run
 
-        def failing_open(engine, r, k, T, order, assumptions=()):
+        def failing_open(engine, r, k, T, order, assumptions=(), walk=None):
             with lock:
                 opened.append(T)
                 openers.append(threading.current_thread())
+                walks.append(walk)
                 if len(opened) == 2:
                     raise RuntimeError("second cube refused")
-            return real_open(engine, r, k, T, order, assumptions)
+            return real_open(engine, r, k, T, order, assumptions, walk)
 
-        for run_class in (_engine.CompiledRun, _engine.PythonRun):
-            def counting_root(run, assumptions=(), real_root=run_class.root):
-                rooted.append(assumptions)
-                real_root(run, assumptions)
-
-            monkeypatch.setattr(run_class, "root", counting_root)
         monkeypatch.setattr(search, "open_run", failing_open)
         monkeypatch.setattr(search, "_SOLO_SECONDS", 0)
+        monkeypatch.setattr(search, "_STEP", 1)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="second cube refused"):
             compute_vdw(3, 3, workers=2)
@@ -382,6 +381,7 @@ class TestComputeVdw:
         assert openers[1] is helpers_started[0]
         # the other worker stops at its next step instead of running the
         # cubes still waiting
+        rooted = [status for status in walks[0].status if status]
         assert len(opened) < len(search_cubes(3, opened[0], ORDER_MOST_BLOCKED))
         assert len(rooted) < len(search_cubes(3, opened[0], ORDER_MOST_BLOCKED))
 
@@ -509,10 +509,21 @@ class TestComputeVdw:
         for engine in engines:
             with pytest.raises(ValueError, match="root assumption"):
                 open_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED, [assumption])
-            # a run re-rooted makes the same check
-            run = open_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED)
-            with pytest.raises(ValueError, match="root assumption"):
-                run.root([assumption])
+        # a table of several cubes makes the same check, once, when it is
+        # built
+        with pytest.raises(ValueError, match="root assumption"):
+            _engine._table(3, 10, [[(0, 0)], [assumption]])
+
+    def test_a_walk_opens_runs_of_its_own_length_only(self):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+        walk = open_walk(3, 10, ORDER_MOST_BLOCKED)
+        for engine in engines:
+            for r, T in [(3, 11), (2, 10)]:
+                with pytest.raises(ValueError, match="a walk of r=3 T=10"):
+                    open_run(engine, r, 3, T, ORDER_MOST_BLOCKED, walk=walk)
+            # the walk's cubes are its root assumptions
+            with pytest.raises(ValueError, match="not both"):
+                open_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED, [(0, 0)], walk=walk)
 
 
 class TestCompiledKernel:
@@ -542,18 +553,19 @@ class TestCompiledKernel:
         engine = compiled_engine()
         for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
             # root propagation alone refutes many cubes, so beside the
-            # empty start take one refuted cube and three that search
-            probe = open_run(engine, r, k, T, order)
+            # empty start take one refuted cube and three that search.  A
+            # run's first node is its cube's pattern node: the step that
+            # spends it opens the cube and rests at its root
             live, dead = [], []
             for cube in search_cubes(r, T, order):
-                probe.root(cube)
-                (live if probe.step(0) == ST_PAUSED else dead).append(cube)
+                probe = open_run(engine, r, k, T, order, cube)
+                (live if probe.step(1) == ST_PAUSED else dead).append(cube)
             assert live, f"order={order}: every cube is refuted at its root"
             for start in [[]] + dead[:1] + live[:2] + [live[len(live) // 2]]:
                 where = f"order={order} start={start}"
                 py = open_run("python", r, k, T, order, start)
                 jit = open_run(engine, r, k, T, order, start)
-                assert py.coloring() == jit.coloring(), where
+                assert (py.step(1), py.coloring()) == (jit.step(1), jit.coloring()), where
                 for _ in range(3):
                     status = py.step(500)
                     assert (status, py.nodes, py.max_depth, py.coloring()) == (
@@ -578,7 +590,8 @@ class TestCompiledKernel:
     def test_counter_path_node_counts_are_pinned(self, warm_engine, T, index, status, nodes):
         cube = search_cubes(2, T, ORDER_MOST_BLOCKED)[index]
         run = open_run(compiled_engine(), 2, 5, T, ORDER_MOST_BLOCKED, cube)
-        assert (run.step(1 << 40), run.nodes) == (status, nodes)
+        # the run's nodes are the cube's pattern node and its decisions
+        assert (run.step(1 << 40), run.nodes - 1) == (status, nodes)
         if status == ST_FOUND:
             assert verify_certificate(Certificate(2, 5, T, Coloring(2, tuple(run.coloring()))))
 
@@ -605,6 +618,7 @@ class TestCompiledKernel:
             "void": None,
             "run_t *": ctypes.c_void_p,
             "int *": ctypes.POINTER(ctypes.c_int),
+            "walk_t *": ctypes.POINTER(_engine._Block),
         }
 
         def c_type(decl):
@@ -618,7 +632,7 @@ class TestCompiledKernel:
             re.M,
         )
         names = [name for _, name, _ in definitions]
-        assert {"vdw_new", "vdw_root", "vdw_step", "vdw_free"} <= set(names)
+        assert {"vdw_new", "vdw_step", "vdw_free"} <= set(names)
         lib = compiled_library()
         for returns, name, params in definitions:
             fn = getattr(lib, name)
@@ -659,6 +673,9 @@ class TestKernelSoundness:
             (2, 4, range(4, 37)),
             (3, 3, range(3, 29)),
             (3, 4, range(4, 65)),
+            (4, 3, range(3, 56)),
+            (5, 3, range(3, 70)),
+            (2, 5, range(5, 90)),
         ],
     )
     def test_verdicts_match_brute_force(self, warm_engine, r, k, lengths):
@@ -666,26 +683,28 @@ class TestKernelSoundness:
         for T in lengths:
             reference = reference_lex_first(r, k, T)
             satisfiable = reference is not None
+            verdict = ST_FOUND if satisfiable else ST_EXHAUSTED
             for engine in engines:
                 for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
                     where = f"T={T} engine={engine} order={order}"
                     run = open_run(engine, r, k, T, order)
-                    status = run.step(1 << 40)
-                    assert status == (ST_FOUND if satisfiable else ST_EXHAUSTED), where
+                    assert run.step(1 << 40) == verdict, where
                     if satisfiable:
                         cert = Certificate(r, k, T, Coloring(r, tuple(run.coloring())))
                         assert verify_certificate(cert)
-                    # the cubes a search opens, searched in order up to
-                    # the first that finds a coloring, decide the same
-                    # length; with ORDER_MOST_BLOCKED that leaves out the
+                    # the walk of the cubes a search opens decides the same
+                    # length; with ORDER_MOST_BLOCKED it leaves out the
                     # mirror images
-                    found = None
-                    for cube in search_cubes(r, T, order):
-                        run = open_run(engine, r, k, T, order, cube)
-                        if run.step(1 << 40) == ST_FOUND:
-                            found = run.coloring()
-                            break
-                    assert (found is not None) == satisfiable, where
+                    walk = open_walk(r, T, order)
+                    run = open_run(engine, r, k, T, order, walk=walk)
+                    assert run.step(1 << 40) == verdict, where
+                    found = walk.coloring()
+                    if satisfiable:
+                        cert = Certificate(r, k, T, Coloring(r, tuple(found)))
+                        assert verify_certificate(cert), where
+                    else:
+                        assert found is None, where
+                        assert set(walk.status) == {ST_EXHAUSTED}, where
                     if order == ORDER_LOWEST:
                         assert found == reference, where
 
@@ -704,49 +723,130 @@ class TestKernelSoundness:
                 (ORDER_MOST_BLOCKED, middle_out(T)),
             ):
                 run = open_run(engine, 2, T + 1, T, order)
+                # the first node opens the run's one cube
+                assert run.step(1) == ST_PAUSED
                 for q in range(1, T):
                     assert run.step(1) == ST_PAUSED
                     colored = [p for p, c in enumerate(run.coloring()) if c >= 0]
                     assert colored == sorted(sequence[:q]), (T, order, q)
                 assert run.step(1) == ST_FOUND
 
-    # one run re-rooted through every cube of a length, as each worker
-    # does, against a fresh run per cube, after every step; the re-rooted
-    # run leaves cubes found, exhausted and paused.  A case is (r, k, T,
-    # quota, steps per cube); the quotas and step counts keep the
-    # reference quick
+    # one run walking the cubes of a length, as a lone worker does, against
+    # a fresh run per cube: the same status, nodes and max_depth for each
+    # cube up to the first that finds a coloring, none opened past it, and
+    # that cube's coloring.  The walk steps a small quota, so it pauses
+    # inside cubes and between them.  A case is (r, k, T, quota, cap): at
+    # the long lengths the table is the longest prefix of the cubes whose
+    # fresh runs each end within cap nodes, which keeps the reference quick
     @pytest.mark.parametrize(
         "cases",
         [
-            [(3, 3, 26, 4, 10), (3, 3, 27, 4, 10)],
-            [(2, 4, 34, 8, 10), (2, 5, 178, 100, 2), (2, 6, 697, 30, 2)],
+            [(3, 3, 26, 4, None), (3, 3, 27, 4, None)],
+            [(2, 4, 34, 5, None), (2, 5, 178, 100, 500), (2, 6, 697, 30, 60)],
         ],
         ids=["mask", "counter"],
     )
-    def test_a_rerooted_run_matches_a_fresh_one(self, warm_engine, cases):
+    def test_a_walk_matches_a_fresh_run_per_cube(self, warm_engine, cases):
         engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
         for engine in engines:
-            left = set()  # statuses at which the run was re-rooted
-            for r, k, T, quota, steps in cases:
-                run = None
+            paused = set()  # whether a pause left a cube open
+            for r, k, T, quota, cap in cases:
+                cubes, fresh = [], []
                 for cube in search_cubes(r, T, ORDER_MOST_BLOCKED):
-                    fresh = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
-                    if run is None:
-                        run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
-                    else:
-                        left.add(status)
-                        run.root(cube)
-                    where = f"engine={engine} T={T} cube={cube}"
-                    assert run.coloring() == fresh.coloring(), where
-                    for _ in range(steps):
-                        status = run.step(quota)
-                        assert (status, run.nodes, run.max_depth, run.coloring()) == (
-                            fresh.step(quota), fresh.nodes, fresh.max_depth,
-                            fresh.coloring()
-                        ), where
-                        if status != ST_PAUSED:
-                            break
-            assert left == {ST_FOUND, ST_EXHAUSTED, ST_PAUSED}, engine
+                    run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
+                    status = run.step(cap or 1 << 40)
+                    if status == ST_PAUSED:
+                        break
+                    cubes.append(cube)
+                    fresh.append((status, run.nodes, run.max_depth, run.coloring()))
+                where = f"engine={engine} T={T} cubes={len(cubes)}"
+                walk = Walk(r, T, _engine._table(r, T, cubes))
+                run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=walk)
+                while (status := run.step(quota)) == ST_PAUSED:
+                    paused.add(max(run.coloring()) >= 0)
+                    # a pause inside a cube records the nodes spent so far
+                    assert sum(walk.nodes) == run.nodes, where
+                found = [i for i, res in enumerate(fresh) if res[0] == ST_FOUND]
+                last = found[0] if found else len(cubes) - 1
+                assert status == fresh[last][0], where
+                assert walk.best == (last if found else len(cubes)), where
+                results = list(zip(walk.status, walk.nodes, walk.depth))
+                assert results[: last + 1] == [res[:3] for res in fresh[: last + 1]], where
+                assert results[last + 1 :] == [(0, 0, 0)] * (len(cubes) - last - 1), where
+                assert run.nodes == sum(res[1] for res in fresh[: last + 1]), where
+                assert run.max_depth == max(res[2] for res in fresh[: last + 1]), where
+                if found:
+                    assert walk.coloring() == run.coloring() == fresh[last][3], where
+            assert paused == {True, False}, engine
+
+    # two runs sharing one walk on lengths that every cube exhausts, so
+    # that no cube is moot, stepped in turn and, on the compiled kernel, on
+    # two threads: the same result for each cube as one run
+    @pytest.mark.parametrize("r, k, T", [(3, 3, 27), (2, 4, 35)])
+    def test_runs_sharing_a_walk_match_one_run(self, warm_engine, r, k, T):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+
+        def results(walk):
+            return list(zip(walk.status, walk.nodes, walk.depth))
+
+        for engine in engines:
+            one = open_walk(r, T, ORDER_MOST_BLOCKED)
+            run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=one)
+            assert run.step(1 << 40) == ST_EXHAUSTED
+            assert set(one.status) == {ST_EXHAUSTED}
+            shared = open_walk(r, T, ORDER_MOST_BLOCKED)
+            runs = [open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=shared) for _ in range(2)]
+            statuses = [ST_PAUSED, ST_PAUSED]
+            while ST_PAUSED in statuses:
+                statuses = [run.step(3) for run in runs]
+            assert statuses == [ST_EXHAUSTED, ST_EXHAUSTED], engine
+            assert results(shared) == results(one), engine
+            assert all(run.nodes for run in runs), engine
+            assert sum(run.nodes for run in runs) == sum(one.nodes), engine
+            if engine == "python":
+                continue
+            shared = open_walk(r, T, ORDER_MOST_BLOCKED)
+
+            def walk_it():
+                run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=shared)
+                while run.step(5) == ST_PAUSED:
+                    pass
+
+            threads = [threading.Thread(target=walk_it) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            assert results(shared) == results(one)
+
+    # two runs sharing one walk of a satisfiable length: the first walks
+    # up to the cube that finds a coloring, the second opens the next one,
+    # then they take one node each in turn.  Once the first finds its
+    # coloring, the second drops its cube, unfinished, at its next
+    # decision and claims no other; the earlier cubes and the coloring are
+    # those of one run
+    @pytest.mark.parametrize("r, k, T", [(3, 3, 26), (2, 4, 34)])
+    def test_a_found_cube_makes_the_later_ones_moot(self, warm_engine, r, k, T):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+        for engine in engines:
+            one = open_walk(r, T, ORDER_MOST_BLOCKED)
+            assert open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=one).step(1 << 40) == ST_FOUND
+            best = one.best
+            shared = open_walk(r, T, ORDER_MOST_BLOCKED)
+            first, second = (
+                open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=shared) for _ in range(2)
+            )
+            while shared.block.next <= best:
+                first.step(1)
+            statuses = [ST_PAUSED, second.step(1)]
+            while ST_PAUSED in statuses:
+                statuses = [first.step(1), second.step(1)]
+            assert statuses == [ST_FOUND, ST_EXHAUSTED], engine
+            assert shared.best == best and shared.coloring() == one.coloring(), engine
+            results = list(zip(shared.status, shared.nodes, shared.depth))
+            assert results[: best + 1] == list(zip(one.status, one.nodes, one.depth))[: best + 1]
+            assert shared.status[best + 1 :] == [ST_PAUSED] + [0] * (shared.cubes - best - 2)
 
     # each r has an odd T, an even T and a T below the cube depth, and
     # r = 2 the lengths on either side of SPLIT_FROM
