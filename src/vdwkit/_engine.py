@@ -75,20 +75,23 @@ lexicographically no larger one that the cap admits).
 
 Root assumptions: a cube is a list of (position, color) pairs, assigned
 and propagated in order before the first decision; a conflict among them
-exhausts the cube at once.  A run walks the cubes of its walk: each step
+exhausts the cube at once.  Every run walks the cubes of a walk: each step
 claims the next cube, charges its pattern node to the step's quota,
 starts afresh from nothing colored with the cube's assumptions, keeping
 what the run built for length T, and searches it exactly as a run of
 that cube alone would.  Before each decision it drops the cube once an
 earlier cube has found a coloring, and a run that finds one stops.
-Runs of one engine may share a walk, each claiming the cubes in order;
-the walk keeps each cube's result and the coloring of the earliest cube
-that found one.  A run opened on root assumptions alone walks a table of
-that one cube.  search_cubes uses them to cut length T into cubes, each
-fixing the first d positions of the branching order (0, 1, ... for
-ORDER_LOWEST, middle_out(T) for ORDER_MOST_BLOCKED), or a few more
-after the split at the end of (4), to one first-use pattern: each color
-at most one above the largest before it.  The cubes decide length T:
+Runs of one engine may share a walk, each claiming the cubes in order.
+A cube's status, nodes, depth and coloring lie in slots of its own,
+written only by the run that claimed it, and the length's verdict is
+read from the statuses once the runs stop (Walk.result): the lowest cube
+that found a coloring gives it.  The walk's best, the earliest finding
+cube known so far, is only a hint for dropping moot cubes.
+search_cubes cuts length T into cubes, each fixing the first d positions
+of the branching order (0, 1, ... for ORDER_LOWEST, middle_out(T) for
+ORDER_MOST_BLOCKED), or a few more after the split at the end of (4), to
+one first-use pattern: each color at most one above the largest before
+it.  The cubes decide length T:
   (1) Any valid coloring, relabeled by first appearance along the d
       positions, is a valid coloring inside exactly one cube.
   (2) After a first-use pattern is replayed the colors in use are 0..m,
@@ -232,7 +235,6 @@ class _Block(ctypes.Structure):
         ("col", _ints),
         ("next", ctypes.c_int),
         ("best", ctypes.c_int),
-        ("lock", ctypes.c_int),
         ("status", _ints),
         ("depth", _ints),
         ("colors", _ints),
@@ -267,16 +269,19 @@ def _cube_table(r: int, T: int, order: int) -> tuple:
 
 
 class Walk:
-    """A table of cubes of length T, searched by the runs opened on it.
+    """A table of cubes of length T, searched by the runs opened on it,
+    and the one record of the length.
 
     The runs share its claims: each claims the next cube in order, skips
-    it when it lies past best, the earliest cube that found a coloring so
-    far, and otherwise searches it until a verdict or until best moves
-    below it.  Each cube's status (0 while unclaimed, ST_PAUSED while
-    undecided), nodes and depth (its max_depth) are written by the run
-    that claimed it; colors holds the coloring of cube best.  The runs on one walk
-    are of one engine: the compiled kernel claims with atomics, the
-    Python reference under the walk's lock."""
+    it when it lies past best, the earliest cube known to have found a
+    coloring, and otherwise searches it until a verdict or until best
+    moves below it.  Each cube's status (0 while unclaimed, ST_PAUSED
+    while undecided), nodes, depth (its max_depth) and, when it finds
+    one, its coloring (colors[i * T:(i + 1) * T] for cube i) are written
+    by the run that claimed it alone.  best only saves work: result()
+    reads the verdict from the statuses.  The runs on one walk are of one
+    engine: the compiled kernel claims with atomics, the Python reference
+    under the walk's lock."""
 
     def __init__(self, r: int, T: int, table: tuple):
         count, offset, pos, col = table
@@ -284,25 +289,30 @@ class Walk:
         self.status = (ctypes.c_int * count)()
         self.nodes = (ctypes.c_longlong * count)()
         self.depth = (ctypes.c_int * count)()
-        self.colors = (ctypes.c_int * T)()
+        self.colors = (ctypes.c_int * (count * T))()
         # the block refers to, and keeps alive, the table and the results
         self.block = _Block(
-            count, offset, pos, col, 0, count, 0, self.status, self.depth,
+            count, offset, pos, col, 0, count, self.status, self.depth,
             self.colors, self.nodes,
         )
         self._lock = threading.Lock()
 
     @property
-    def best(self) -> int:
-        return self.block.best
-
-    @property
     def max_depth(self) -> int:
         return max(self.depth, default=0)
 
-    def coloring(self) -> list[int] | None:
-        """The coloring of the earliest cube that found one, if any."""
-        return list(self.colors) if self.best < self.cubes else None
+    def result(self) -> tuple[int | None, list[int] | None]:
+        """The length's verdict and coloring, read once the runs have
+        stopped: (ST_FOUND, the coloring of the lowest cube that found
+        one), (ST_EXHAUSTED, None) when every cube is exhausted, else
+        (None, None)."""
+        status = self.status[:]
+        if ST_FOUND in status:
+            i = status.index(ST_FOUND) * self.T
+            return ST_FOUND, self.colors[i : i + self.T]
+        if status.count(ST_EXHAUSTED) == self.cubes:
+            return ST_EXHAUSTED, None
+        return None, None
 
     # the Python reference's side of the claims
 
@@ -323,11 +333,11 @@ class Walk:
         self.status[i], self.nodes[i], self.depth[i] = status, nodes, depth
 
     def found(self, i: int, colors) -> None:
-        """Cube i found the coloring colors."""
+        """Cube i found the coloring colors: write it into the cube's slot
+        and lower best."""
         with self._lock:
-            if i < self.block.best:
-                self.block.best = i
-                self.colors[:] = colors
+            self.colors[i * self.T : (i + 1) * self.T] = colors
+            self.block.best = min(self.block.best, i)
 
 
 def open_walk(r: int, T: int, order: int) -> Walk:
@@ -363,11 +373,6 @@ class PythonRun:
         self.cube = -1
         self.cube_nodes = self.cube_depth = self.nodes = 0
         self.status = ST_PAUSED
-
-    @property
-    def max_depth(self) -> int:
-        """The most decisions on one branch in any cube of the walk."""
-        return self.walk.max_depth
 
     def _root(self) -> int:
         """Start the open cube afresh from nothing colored, with its root
@@ -545,11 +550,6 @@ class CompiledRun:
     def nodes(self) -> int:
         return self._lib.vdw_nodes(self._handle)
 
-    @property
-    def max_depth(self) -> int:
-        """The most decisions on one branch in any cube of the walk."""
-        return self.walk.max_depth
-
     def coloring(self) -> list[int]:
         out = (ctypes.c_int * self.T)()
         self._lib.vdw_coloring(self._handle, out)
@@ -666,18 +666,13 @@ def resolve_engine(engine: str | None) -> str:
     return "jit"
 
 
-def open_run(engine: str, r: int, k: int, T: int, order: int, assumptions=(),
-             walk: Walk | None = None):
+def open_run(engine: str, r: int, k: int, T: int, order: int, walk: Walk):
     """A run on a resolved engine (see resolve_engine) that walks the cubes
-    of walk, or else a walk of one cube, the given root assumptions."""
+    of walk."""
     # the C side indexes with these unchecked
     if r < 2 or k < 3 or T < 1 or order not in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
         raise ValueError(f"bad kernel parameters r={r} k={k} T={T} order={order}")
-    if walk is None:
-        walk = Walk(r, T, _table(r, T, [assumptions]))
-    elif assumptions:
-        raise ValueError("a run takes root assumptions or a walk, not both")
-    elif (walk.r, walk.T) != (r, T):
+    if (walk.r, walk.T) != (r, T):
         raise ValueError(f"a walk of r={walk.r} T={walk.T} opened with r={r} T={T}")
     if engine == "jit":
         return CompiledRun(compiled_library(), r, k, T, order, walk)

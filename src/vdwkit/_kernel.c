@@ -61,8 +61,10 @@
  * A run walks a table of cubes of its length (walk_t) that other runs may
  * share: vdw_step claims each cube with an atomic fetch-add, roots and
  * searches it, and drops it before any decision once an earlier cube has
- * found a colouring.  A run that finds one stops, since every cube it
- * could claim next is moot.
+ * found a colouring.  A run that finds one writes it into its cube's own
+ * slot and stops, since every cube it could claim next is moot.  Only a
+ * cube's claimer writes its slots, so no lock is needed: the caller reads
+ * the verdict from the statuses once the runs stop, and best is a hint.
  */
 #include <stdlib.h>
 #include <string.h>
@@ -84,14 +86,15 @@ typedef struct {
 
 /* A table of cubes and the claims of the runs that walk it, laid out as
  * _engine._Block.  Cube i's root assumptions are (pos[j], col[j]) for
- * offset[i] <= j < offset[i + 1].  next is the next cube to claim, best
- * the earliest cube that found a colouring (n while none has), and lock
- * guards best with colours, that cube's colouring.  Per cube, status
- * (0 while unclaimed), nodes and depth are written by its claimer. */
+ * offset[i] <= j < offset[i + 1].  next is the next cube to claim and
+ * best the earliest cube known to have found a colouring (n while none
+ * has), a hint for skipping moot cubes.  Per cube i, status (0 while
+ * unclaimed), nodes, depth and, when it finds one, its colouring at
+ * colours + i * T are written by its claimer alone. */
 typedef struct {
     int n;
     const int *offset, *pos, *col;
-    int next, best, lock;
+    int next, best;
     int *status, *depth, *colours;
     long long *nodes;
 } walk_t;
@@ -447,8 +450,9 @@ static void record(run_t *s, int status)
     w->depth[s->cube] = s->cube_depth;
 }
 
-/* End the open cube with the given status: a colouring found ends the
- * run, any other status closes the cube. */
+/* End the open cube with the given status: a colouring found is written
+ * into the cube's slot, lowers best and ends the run; any other status
+ * closes the cube. */
 static void end_cube(run_t *s, int status)
 {
     walk_t *w = s->walk;
@@ -458,14 +462,14 @@ static void end_cube(run_t *s, int status)
         return;
     }
     s->status = ST_FOUND;
-    while (__atomic_exchange_n(&w->lock, 1, __ATOMIC_ACQUIRE))
+    int *slot = w->colours + (size_t)s->cube * s->T;
+    for (int p = 0; p < s->T; p++)
+        slot[p] = colour_at(s, p);
+    int best = __atomic_load_n(&w->best, __ATOMIC_RELAXED);
+    while (s->cube < best
+           && !__atomic_compare_exchange_n(&w->best, &best, s->cube, 1,
+                                           __ATOMIC_RELAXED, __ATOMIC_RELAXED))
         ;
-    if (s->cube < w->best) {
-        __atomic_store_n(&w->best, s->cube, __ATOMIC_RELAXED);
-        for (int p = 0; p < s->T; p++)
-            w->colours[p] = colour_at(s, p);
-    }
-    __atomic_store_n(&w->lock, 0, __ATOMIC_RELEASE);
 }
 
 /* Walk the cubes until a colouring is found (ST_FOUND), no cube is left

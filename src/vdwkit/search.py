@@ -11,8 +11,8 @@ Colorings are 0-based here: positions 0..N-1, colors 0..r-1.
 """
 from __future__ import annotations
 
-import functools
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -310,8 +310,12 @@ class _Budget:
     """Shared wall-clock deadline and node pool, thread safe."""
 
     def __init__(self, budget: SearchBudget, start: float):
+        seconds = budget.max_seconds
+        # a limit past the float range, 10**400 say, never expires
         self.deadline = (
-            start + budget.max_seconds if budget.max_seconds is not None else None
+            start + seconds
+            if seconds is not None and seconds < sys.float_info.max
+            else None
         )
         self._pool = budget.max_nodes
         self._lock = threading.Lock()
@@ -380,19 +384,25 @@ def _first_ap_ends(colors, r: int, k: int) -> list[int]:
     return ends
 
 
-def power_residue_witness(r: int, k: int) -> list[int]:
+def power_residue_witness(r: int, k: int, out_of_time=lambda: False) -> list[int]:
     """An ap-free coloring grown from tiled power-residue colorings (see
     _grow_witness), built once per (r, k) in a process; each call
-    returns a fresh list."""
-    return list(_cached_witness(r, k))
+    returns a fresh list.  A construction that out_of_time cuts short
+    returns the longest coloring it has, and is not kept."""
+    witness = _witnesses.get((r, k))
+    if witness is None:
+        colors, whole = _grow_witness(r, k, out_of_time)
+        if not whole:
+            return colors
+        witness = _witnesses[r, k] = tuple(colors)
+    return list(witness)
 
 
-@functools.cache
-def _cached_witness(r: int, k: int) -> tuple[int, ...]:
-    return tuple(_grow_witness(r, k))
+# the whole witnesses built so far, by (r, k)
+_witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
-def _grow_witness(r: int, k: int) -> list[int]:
+def _grow_witness(r: int, k: int, out_of_time) -> tuple[list[int], bool]:
     """An ap-free coloring grown from tiled power-residue colorings.
 
     For a prime p with r | p - 1 and a primitive root g, the residue
@@ -404,12 +414,17 @@ def _grow_witness(r: int, k: int) -> list[int]:
     periods hold every window that starts in the first.  Each longest
     window free of monochromatic k-term progressions is then grown by
     _extend_at_ends, and the longest result wins (ties: smallest p, c0,
-    offset).  Empty when no prime qualifies.
+    offset).  Empty when no prime qualifies.  Returns the coloring and
+    whether the construction is whole: out_of_time is read before each
+    prime and each window, and once it is true the longest coloring so
+    far is returned, a window not yet grown being one too.
     """
-    best_len, windows = 0, []
+    best_len, windows, grown = 0, [], []
     for p in _primes_below(_WITNESS_PRIMES):
         if p < 3 or (p - 1) % r:
             continue
+        if out_of_time():
+            break
         g = _primitive_root(p)
         residue_color = [0] * p
         x = 1
@@ -431,8 +446,14 @@ def _grow_witness(r: int, k: int) -> list[int]:
                     best_len, windows = length, []
                 if length == best_len:
                     windows.append(window)
-    grown = [_extend_at_ends(window, r, k) for window in windows]
-    return max(grown, key=len, default=[])
+    else:
+        for window in windows:
+            if out_of_time():
+                break
+            grown.append(_extend_at_ends(window, r, k))
+        else:
+            return max(grown, key=len, default=[]), True
+    return max(grown + windows[:1], key=len, default=[]), False
 
 
 def _extend_at_ends(colors, r: int, k: int) -> list[int]:
@@ -454,8 +475,9 @@ def _extend_at_ends(colors, r: int, k: int) -> list[int]:
 
 
 def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
-    """Search length T.  Returns (verdict, colors, nodes, max_depth) with
-    verdict ST_FOUND, ST_EXHAUSTED, or None when the budget stopped it.
+    """Search length T.  Returns its walk, the length's record: each
+    cube's status, nodes and depth, and the verdict and coloring that
+    Walk.result reads from them (None for a verdict the budget stopped).
 
     The length is cut into the cubes of search_cubes, one walk of them
     (open_walk), and every worker runs work(): it opens a kernel run on
@@ -467,9 +489,9 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     length has taken _SOLO_SECONDS it starts min(workers, cubes) - 1
     helper threads.  So a short length, and any length on one worker (the
     Python engine always), starts no thread.  A cube that finds a
-    coloring makes the later ones moot; the earliest finding cube wins,
-    so a search that runs to a verdict returns the same coloring for any
-    worker count.  The length is exhausted when every cube of the walk
+    coloring makes the later ones moot; the lowest finding cube wins,
+    whatever order the workers found theirs in, so a search that runs to
+    a verdict returns the same coloring for any worker count.  The length is exhausted when every cube of the walk
     is.  An exception in any worker, an interrupt of the calling thread
     included, stops every worker at its next step; it is raised once the
     helpers have finished.
@@ -485,7 +507,7 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
         nonlocal wanted
         try:
             # this worker's run, local so that it is freed on this thread
-            run = open_run(engine, r, k, T, order, walk=walk)
+            run = open_run(engine, r, k, T, order, walk)
             status = ST_PAUSED
             while status == ST_PAUSED and not errors:
                 if wanted and time.perf_counter() >= solo_end:
@@ -520,13 +542,7 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
             helper.join()
     if errors:
         raise errors[0]
-
-    nodes, max_depth = sum(walk.nodes), walk.max_depth
-    if walk.best < walk.cubes:
-        return ST_FOUND, walk.coloring(), nodes, max_depth
-    if set(walk.status) == {ST_EXHAUSTED}:
-        return ST_EXHAUSTED, None, nodes, max_depth
-    return None, None, nodes, max_depth
+    return walk
 
 
 def compute_vdw(
@@ -600,7 +616,7 @@ def compute_vdw(
 
     frontier_colors: list[int] = [0] * (k - 1)
     if mode == MODE_WITNESS_PROOF and not tracker.out_of_time():
-        witness = power_residue_witness(r, k)
+        witness = power_residue_witness(r, k, tracker.out_of_time)
         if len(witness) > len(frontier_colors):
             frontier_colors = witness
     if max_length is not None:
@@ -608,11 +624,12 @@ def compute_vdw(
     total_nodes = max_depth = 0
 
     while max_length is None or len(frontier_colors) < max_length:
-        verdict, colors, nodes, depth = _search_target(
+        walk = _search_target(
             r, k, len(frontier_colors) + 1, order, tracker, engine, workers
         )
-        total_nodes += nodes
-        max_depth = max(max_depth, depth)
+        total_nodes += sum(walk.nodes)
+        max_depth = max(max_depth, walk.max_depth)
+        verdict, colors = walk.result()
         if verdict != ST_FOUND:
             status = STATUS_EXACT if verdict == ST_EXHAUSTED else STATUS_BUDGET
             break

@@ -49,18 +49,30 @@ LEX_FIRST = {
 }
 
 
-def reference_lex_first(r, k, T):
+class BruteForceCapped(Exception):
+    """reference_lex_first tried more colors than its cap allows."""
+
+
+def reference_lex_first(r, k, T, fixed=None, cap=None):
     """Plain depth-first search: no propagation, no symmetry reduction.
 
     Independent of the engine under test; returns the lexicographically
-    first valid coloring of length T, or None when none exists.
+    first valid coloring of length T that gives each position in fixed
+    (a dict) its color there, or None when none exists.  Raises
+    BruteForceCapped once it has tried more than cap colors.
     """
+    fixed = fixed or {}
     colors = []
+    tried = 0
 
     def rec():
+        nonlocal tried
         if len(colors) == T:
             return True
-        for c in range(r):
+        for c in [fixed[len(colors)]] if len(colors) in fixed else range(r):
+            tried += 1
+            if cap is not None and tried > cap:
+                raise BruteForceCapped
             colors.append(c)
             if last_position_check(colors, k) and rec():
                 return True
@@ -118,10 +130,100 @@ def kept_by_mirror(levels):
     )
 
 
+# a trivial threaded program, to tell whether ThreadSanitizer works here
+TRIVIAL_THREADS = r"""
+#include <pthread.h>
+static int x;
+static void *bump(void *arg) { (void)arg; __atomic_fetch_add(&x, 1, __ATOMIC_RELAXED); return 0; }
+int main(void)
+{
+    pthread_t t;
+    pthread_create(&t, 0, bump, 0);
+    pthread_join(t, 0);
+    return x != 1;
+}
+"""
+
+# reads "r k T order n", n + 1 offsets, then the positions and the colors
+# of the cells; four threads each open a run on the walk and step it 3
+# nodes at a time.  Prints the verdict and the lowest cube found (-1 when
+# none), read from the statuses after the threads join
+WALK_DRIVER = r"""
+#include <pthread.h>
+#include <stdio.h>
+#include "_kernel.c"
+
+static int r, k, T, order;
+static walk_t w;
+
+static void *walk_it(void *arg)
+{
+    (void)arg;
+    run_t *s = vdw_new(r, k, T, order, &w);
+    if (!s)
+        return (void *)1;
+    while (vdw_step(s, 3) == ST_PAUSED)
+        ;
+    vdw_free(s);
+    return 0;
+}
+
+int main(void)
+{
+    int n;
+    if (scanf("%d %d %d %d %d", &r, &k, &T, &order, &n) != 5)
+        return 2;
+    int *offset = malloc((n + 1) * sizeof(int));
+    for (int i = 0; i <= n; i++)
+        if (scanf("%d", &offset[i]) != 1)
+            return 2;
+    int m = offset[n], *pos = malloc((m + 1) * sizeof(int)), *col = malloc((m + 1) * sizeof(int));
+    for (int j = 0; j < m; j++)
+        if (scanf("%d", &pos[j]) != 1)
+            return 2;
+    for (int j = 0; j < m; j++)
+        if (scanf("%d", &col[j]) != 1)
+            return 2;
+    w.n = n;
+    w.offset = offset;
+    w.pos = pos;
+    w.col = col;
+    w.best = n;
+    w.status = calloc(n, sizeof(int));
+    w.depth = calloc(n, sizeof(int));
+    w.nodes = calloc(n, sizeof(long long));
+    w.colours = calloc((size_t)n * T, sizeof(int));
+    pthread_t threads[4];
+    for (int t = 0; t < 4; t++)
+        pthread_create(&threads[t], 0, walk_it, 0);
+    for (int t = 0; t < 4; t++) {
+        void *failed;
+        pthread_join(threads[t], &failed);
+        if (failed)
+            return 3;
+    }
+    int exhausted = 0;
+    for (int i = 0; i < n; i++) {
+        if (w.status[i] == ST_FOUND) {
+            printf("%d %d\n", ST_FOUND, i);
+            return 0;
+        }
+        exhausted += w.status[i] == ST_EXHAUSTED;
+    }
+    printf("%d -1\n", exhausted == n ? ST_EXHAUSTED : 0);
+    return 0;
+}
+"""
+
 HAVE_COMPILER = _engine._compiler() is not None
 needs_compiler = pytest.mark.skipif(
     not HAVE_COMPILER, reason="no C compiler to build the compiled kernel"
 )
+
+
+def one_cube_run(engine, r, k, T, order, cube=()):
+    """A run on a walk of one cube, the given root assumptions."""
+    return open_run(engine, r, k, T, order, Walk(r, T, _engine._table(r, T, [cube])))
 
 
 def compiled_engine():
@@ -333,23 +435,41 @@ class TestComputeVdw:
         calls = []
         grow = search._grow_witness
 
-        def counting(r, k):
+        def counting(r, k, out_of_time):
             calls.append((r, k))
-            return grow(r, k)
+            return grow(r, k, out_of_time)
 
         monkeypatch.setattr(search, "_grow_witness", counting)
-        search._cached_witness.cache_clear()
-        try:
-            first = compute_vdw(2, 3, engine="python")
-            second = compute_vdw(2, 3, engine="python")
-            # every call hands out its own list
-            handed = search.power_residue_witness(2, 3)
-            handed.append(1)
-            assert search.power_residue_witness(2, 3) == handed[:-1]
-        finally:
-            search._cached_witness.cache_clear()
+        monkeypatch.setattr(search, "_witnesses", {})
+        first = compute_vdw(2, 3, engine="python")
+        second = compute_vdw(2, 3, engine="python")
+        # every call hands out its own list
+        handed = search.power_residue_witness(2, 3)
+        handed.append(1)
+        assert search.power_residue_witness(2, 3) == handed[:-1]
         assert calls == [(2, 3)]
         assert first.certificate == second.certificate
+
+    # the construction reads the deadline before each prime and each
+    # window: cut short after two of the 502 tied windows for k = 10 are
+    # grown, it returns the longer of them, and it is not kept.  All 53
+    # odd primes below 256 qualify for r = 2
+    def test_witness_construction_stops_when_out_of_time(self, monkeypatch):
+        grown = []
+        extend = search._extend_at_ends
+
+        def counting(colors, r, k):
+            grown.append(extend(colors, r, k))
+            return grown[-1]
+
+        monkeypatch.setattr(search, "_extend_at_ends", counting)
+        monkeypatch.setattr(search, "_witnesses", {})
+        reads = itertools.count()
+        colors = search.power_residue_witness(2, 10, lambda: next(reads) >= 55)
+        assert len(grown) == 2
+        assert colors == max(grown, key=len)
+        assert ap_free(colors, 10)
+        assert search._witnesses == {}
 
     # each worker opens one run per length and walks the cubes in it, so
     # with no solo phase the second open is the helper's first.  One node
@@ -361,14 +481,14 @@ class TestComputeVdw:
         opened, openers, walks = [], [], []
         real_open = search.open_run
 
-        def failing_open(engine, r, k, T, order, assumptions=(), walk=None):
+        def failing_open(engine, r, k, T, order, walk):
             with lock:
                 opened.append(T)
                 openers.append(threading.current_thread())
                 walks.append(walk)
                 if len(opened) == 2:
                     raise RuntimeError("second cube refused")
-            return real_open(engine, r, k, T, order, assumptions, walk)
+            return real_open(engine, r, k, T, order, walk)
 
         monkeypatch.setattr(search, "open_run", failing_open)
         monkeypatch.setattr(search, "_SOLO_SECONDS", 0)
@@ -398,7 +518,7 @@ class TestComputeVdw:
         steps_after = []
 
         class EndlessRun:
-            nodes = max_depth = 0
+            nodes = 0
 
             def step(self, quota):
                 if threading.current_thread() is caller:
@@ -508,7 +628,7 @@ class TestComputeVdw:
         engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
         for engine in engines:
             with pytest.raises(ValueError, match="root assumption"):
-                open_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED, [assumption])
+                one_cube_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED, [assumption])
         # a table of several cubes makes the same check, once, when it is
         # built
         with pytest.raises(ValueError, match="root assumption"):
@@ -520,10 +640,7 @@ class TestComputeVdw:
         for engine in engines:
             for r, T in [(3, 11), (2, 10)]:
                 with pytest.raises(ValueError, match="a walk of r=3 T=10"):
-                    open_run(engine, r, 3, T, ORDER_MOST_BLOCKED, walk=walk)
-            # the walk's cubes are its root assumptions
-            with pytest.raises(ValueError, match="not both"):
-                open_run(engine, 3, 3, 10, ORDER_MOST_BLOCKED, [(0, 0)], walk=walk)
+                    open_run(engine, r, 3, T, ORDER_MOST_BLOCKED, walk)
 
 
 class TestCompiledKernel:
@@ -558,18 +675,18 @@ class TestCompiledKernel:
             # spends it opens the cube and rests at its root
             live, dead = [], []
             for cube in search_cubes(r, T, order):
-                probe = open_run(engine, r, k, T, order, cube)
+                probe = one_cube_run(engine, r, k, T, order, cube)
                 (live if probe.step(1) == ST_PAUSED else dead).append(cube)
             assert live, f"order={order}: every cube is refuted at its root"
             for start in [[]] + dead[:1] + live[:2] + [live[len(live) // 2]]:
                 where = f"order={order} start={start}"
-                py = open_run("python", r, k, T, order, start)
-                jit = open_run(engine, r, k, T, order, start)
+                py = one_cube_run("python", r, k, T, order, start)
+                jit = one_cube_run(engine, r, k, T, order, start)
                 assert (py.step(1), py.coloring()) == (jit.step(1), jit.coloring()), where
                 for _ in range(3):
                     status = py.step(500)
-                    assert (status, py.nodes, py.max_depth, py.coloring()) == (
-                        jit.step(500), jit.nodes, jit.max_depth, jit.coloring()
+                    assert (status, py.nodes, py.walk.max_depth, py.coloring()) == (
+                        jit.step(500), jit.nodes, jit.walk.max_depth, jit.coloring()
                     ), where
                     if status != ST_PAUSED:
                         break
@@ -589,11 +706,54 @@ class TestCompiledKernel:
     )
     def test_counter_path_node_counts_are_pinned(self, warm_engine, T, index, status, nodes):
         cube = search_cubes(2, T, ORDER_MOST_BLOCKED)[index]
-        run = open_run(compiled_engine(), 2, 5, T, ORDER_MOST_BLOCKED, cube)
+        run = one_cube_run(compiled_engine(), 2, 5, T, ORDER_MOST_BLOCKED, cube)
         # the run's nodes are the cube's pattern node and its decisions
         assert (run.step(1 << 40), run.nodes - 1) == (status, nodes)
         if status == ST_FOUND:
             assert verify_certificate(Certificate(2, 5, T, Coloring(2, tuple(run.coloring()))))
+
+    # four threads walking one table through the kernel itself, under
+    # ThreadSanitizer: the claims, best and the per-cube slots must show
+    # no data race, and the lowest finding cube must be a one-run walk's
+    @needs_compiler
+    def test_a_shared_walk_is_free_of_data_races(self, warm_engine, tmp_path):
+        engine = compiled_engine()
+
+        def build(name, source, *flags):
+            (tmp_path / f"{name}.c").write_text(source)
+            proc = subprocess.run(
+                [_engine._compiler(), "-fsanitize=thread", "-g", "-O1", "-pthread",
+                 *flags, "-o", str(tmp_path / name), str(tmp_path / f"{name}.c")],
+                capture_output=True, text=True,
+            )
+            return proc.returncode == 0, proc.stderr
+
+        def run(name, stdin=""):
+            return subprocess.run(
+                [str(tmp_path / name)], input=stdin, capture_output=True, text=True,
+                env={"TSAN_OPTIONS": "halt_on_error=1"}, timeout=120,
+            )
+
+        built, err = build("trivial", TRIVIAL_THREADS)
+        if not built or run("trivial").returncode != 0:
+            pytest.skip(f"-fsanitize=thread programs cannot be built or run here: {err}")
+        built, err = build("walk", WALK_DRIVER, f"-I{_engine._SOURCE.parent}")
+        assert built, err
+        for r, k, T, verdict in [
+            (3, 3, 26, ST_FOUND), (2, 4, 34, ST_FOUND), (4, 3, 60, ST_FOUND),
+            (3, 3, 27, ST_EXHAUSTED),
+        ]:
+            cubes = search_cubes(r, T, ORDER_MOST_BLOCKED)
+            offsets = list(itertools.accumulate((len(c) for c in cubes), initial=0))
+            cells = [cell for cube in cubes for cell in cube]
+            table = [r, k, T, ORDER_MOST_BLOCKED, len(cubes), *offsets,
+                     *(p for p, _ in cells), *(c for _, c in cells)]
+            proc = run("walk", " ".join(map(str, table)))
+            assert proc.returncode == 0, proc.stderr
+            one = open_walk(r, T, ORDER_MOST_BLOCKED)
+            assert open_run(engine, r, k, T, ORDER_MOST_BLOCKED, one).step(1 << 40) == verdict
+            first = one.status[:].index(ST_FOUND) if verdict == ST_FOUND else -1
+            assert proc.stdout.split() == [str(verdict), str(first)], (r, k, T)
 
     # compiled to an object file with the build's flags, not -fsyntax-only:
     # gcc reports unused static functions only when it compiles, and some
@@ -687,7 +847,7 @@ class TestKernelSoundness:
             for engine in engines:
                 for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
                     where = f"T={T} engine={engine} order={order}"
-                    run = open_run(engine, r, k, T, order)
+                    run = one_cube_run(engine, r, k, T, order)
                     assert run.step(1 << 40) == verdict, where
                     if satisfiable:
                         cert = Certificate(r, k, T, Coloring(r, tuple(run.coloring())))
@@ -696,9 +856,10 @@ class TestKernelSoundness:
                     # length; with ORDER_MOST_BLOCKED it leaves out the
                     # mirror images
                     walk = open_walk(r, T, order)
-                    run = open_run(engine, r, k, T, order, walk=walk)
+                    run = open_run(engine, r, k, T, order, walk)
                     assert run.step(1 << 40) == verdict, where
-                    found = walk.coloring()
+                    status, found = walk.result()
+                    assert status == verdict, where
                     if satisfiable:
                         cert = Certificate(r, k, T, Coloring(r, tuple(found)))
                         assert verify_certificate(cert), where
@@ -707,6 +868,47 @@ class TestKernelSoundness:
                         assert set(walk.status) == {ST_EXHAUSTED}, where
                     if order == ORDER_LOWEST:
                         assert found == reference, where
+
+    # random root assumptions, up to T/2 of them on distinct positions, on
+    # one-cube walks of short lengths against the plain brute force: the
+    # engines must agree node for node and with its verdict, and a found
+    # coloring must be valid and keep the assumptions.  An instance the
+    # brute force cannot settle within its cap is left out.  At r = 4 and 5
+    # every exhausted instance dies at its root, in a conflict among its
+    # assumptions; deeper exhaustion there needs lengths past brute force
+    def test_random_root_assumptions_match_brute_force(self, warm_engine):
+        engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
+        rng = random.Random(9)
+        seen = set()
+        for r, k in itertools.product(range(2, 6), range(3, 6)):
+            for _ in range(25):
+                T = rng.randint(k, 30)
+                positions = rng.sample(range(T), rng.randint(0, T // 2))
+                cube = [(p, rng.randrange(r)) for p in positions]
+                try:
+                    reference = reference_lex_first(r, k, T, dict(cube), cap=20_000)
+                except BruteForceCapped:
+                    continue
+                verdict = ST_EXHAUSTED if reference is None else ST_FOUND
+                for order in (ORDER_LOWEST, ORDER_MOST_BLOCKED):
+                    where = f"r={r} k={k} T={T} order={order} cube={cube}"
+                    results = []
+                    for engine in engines:
+                        run = one_cube_run(engine, r, k, T, order, cube)
+                        results.append((run.step(1 << 40), run.nodes, run.coloring()))
+                        assert run.walk.result() == (
+                            verdict, results[-1][2] if reference else None
+                        ), where
+                    assert results.count(results[0]) == len(results), where
+                    status, nodes, found = results[0]
+                    assert status == verdict, where
+                    if reference:
+                        assert ap_free(found, k), where
+                        assert all(found[p] == c for p, c in cube), where
+                    seen.add((r >= 4, status, nodes == 1))
+        # at r = 4 and 5 the walk is exhausted, by a root conflict
+        assert (True, ST_EXHAUSTED, True) in seen
+        assert (False, ST_EXHAUSTED, False) in seen
 
     # with k = T + 1 there are no progressions, so nothing is blocked or
     # forced and each decision colors the next position of the branching
@@ -722,7 +924,7 @@ class TestKernelSoundness:
                 (ORDER_LOWEST, list(range(T))),
                 (ORDER_MOST_BLOCKED, middle_out(T)),
             ):
-                run = open_run(engine, 2, T + 1, T, order)
+                run = one_cube_run(engine, 2, T + 1, T, order)
                 # the first node opens the run's one cube
                 assert run.step(1) == ST_PAUSED
                 for q in range(1, T):
@@ -753,15 +955,15 @@ class TestKernelSoundness:
             for r, k, T, quota, cap in cases:
                 cubes, fresh = [], []
                 for cube in search_cubes(r, T, ORDER_MOST_BLOCKED):
-                    run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
+                    run = one_cube_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
                     status = run.step(cap or 1 << 40)
                     if status == ST_PAUSED:
                         break
                     cubes.append(cube)
-                    fresh.append((status, run.nodes, run.max_depth, run.coloring()))
+                    fresh.append((status, run.nodes, run.walk.max_depth, run.coloring()))
                 where = f"engine={engine} T={T} cubes={len(cubes)}"
                 walk = Walk(r, T, _engine._table(r, T, cubes))
-                run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=walk)
+                run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk)
                 while (status := run.step(quota)) == ST_PAUSED:
                     paused.add(max(run.coloring()) >= 0)
                     # a pause inside a cube records the nodes spent so far
@@ -769,14 +971,16 @@ class TestKernelSoundness:
                 found = [i for i, res in enumerate(fresh) if res[0] == ST_FOUND]
                 last = found[0] if found else len(cubes) - 1
                 assert status == fresh[last][0], where
-                assert walk.best == (last if found else len(cubes)), where
+                assert walk.result() == (
+                    (ST_FOUND, fresh[last][3]) if found else (ST_EXHAUSTED, None)
+                ), where
                 results = list(zip(walk.status, walk.nodes, walk.depth))
                 assert results[: last + 1] == [res[:3] for res in fresh[: last + 1]], where
                 assert results[last + 1 :] == [(0, 0, 0)] * (len(cubes) - last - 1), where
                 assert run.nodes == sum(res[1] for res in fresh[: last + 1]), where
-                assert run.max_depth == max(res[2] for res in fresh[: last + 1]), where
+                assert walk.max_depth == max(res[2] for res in fresh[: last + 1]), where
                 if found:
-                    assert walk.coloring() == run.coloring() == fresh[last][3], where
+                    assert run.coloring() == fresh[last][3], where
             assert paused == {True, False}, engine
 
     # two runs sharing one walk on lengths that every cube exhausts, so
@@ -791,11 +995,11 @@ class TestKernelSoundness:
 
         for engine in engines:
             one = open_walk(r, T, ORDER_MOST_BLOCKED)
-            run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=one)
+            run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, one)
             assert run.step(1 << 40) == ST_EXHAUSTED
             assert set(one.status) == {ST_EXHAUSTED}
             shared = open_walk(r, T, ORDER_MOST_BLOCKED)
-            runs = [open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=shared) for _ in range(2)]
+            runs = [open_run(engine, r, k, T, ORDER_MOST_BLOCKED, shared) for _ in range(2)]
             statuses = [ST_PAUSED, ST_PAUSED]
             while ST_PAUSED in statuses:
                 statuses = [run.step(3) for run in runs]
@@ -808,7 +1012,7 @@ class TestKernelSoundness:
             shared = open_walk(r, T, ORDER_MOST_BLOCKED)
 
             def walk_it():
-                run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=shared)
+                run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, shared)
                 while run.step(5) == ST_PAUSED:
                     pass
 
@@ -831,11 +1035,11 @@ class TestKernelSoundness:
         engines = ["python"] + ([compiled_engine()] if HAVE_COMPILER else [])
         for engine in engines:
             one = open_walk(r, T, ORDER_MOST_BLOCKED)
-            assert open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=one).step(1 << 40) == ST_FOUND
-            best = one.best
+            assert open_run(engine, r, k, T, ORDER_MOST_BLOCKED, one).step(1 << 40) == ST_FOUND
+            best = one.status[:].index(ST_FOUND)
             shared = open_walk(r, T, ORDER_MOST_BLOCKED)
             first, second = (
-                open_run(engine, r, k, T, ORDER_MOST_BLOCKED, walk=shared) for _ in range(2)
+                open_run(engine, r, k, T, ORDER_MOST_BLOCKED, shared) for _ in range(2)
             )
             while shared.block.next <= best:
                 first.step(1)
@@ -843,10 +1047,25 @@ class TestKernelSoundness:
             while ST_PAUSED in statuses:
                 statuses = [first.step(1), second.step(1)]
             assert statuses == [ST_FOUND, ST_EXHAUSTED], engine
-            assert shared.best == best and shared.coloring() == one.coloring(), engine
+            assert shared.result() == one.result(), engine
             results = list(zip(shared.status, shared.nodes, shared.depth))
             assert results[: best + 1] == list(zip(one.status, one.nodes, one.depth))[: best + 1]
             assert shared.status[best + 1 :] == [ST_PAUSED] + [0] * (shared.cubes - best - 2)
+
+    # the verdict is read from the statuses once the runs stop, so neither
+    # the order in which cubes report a coloring nor best, a hint that a
+    # race could leave at the later cube, decides the coloring: the
+    # earlier cube's wins either way
+    def test_the_lowest_finding_cube_wins_in_either_order(self):
+        T = 26
+        colorings = {2: [0, 1] * (T // 2), 5: [1, 0] * (T // 2)}
+        for arrivals in ([5, 2], [2, 5]):
+            walk = open_walk(3, T, ORDER_MOST_BLOCKED)
+            for i in arrivals:
+                walk.record(i, ST_FOUND, 1, 0)
+                walk.colors[i * T : (i + 1) * T] = colorings[i]
+                walk.block.best = i
+            assert walk.result() == (ST_FOUND, colorings[2]), arrivals
 
     # each r has an odd T, an even T and a T below the cube depth, and
     # r = 2 the lengths on either side of SPLIT_FROM
@@ -924,7 +1143,7 @@ class TestKernelSoundness:
                 def verdict(pattern):
                     if pattern not in verdicts:
                         cube = list(zip(positions, pattern))
-                        run = open_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
+                        run = one_cube_run(engine, r, k, T, ORDER_MOST_BLOCKED, cube)
                         verdicts[pattern] = run.step(1 << 40)
                     return verdicts[pattern]
 
@@ -957,6 +1176,18 @@ class TestBudgets:
         outcome = compute_vdw(2, 6, SearchBudget(max_seconds=0.5), engine=compiled_engine())
         assert outcome.status == "budget-exhausted"
         assert outcome.stats.elapsed < 0.6
+
+    # W(2, 12)'s construction alone takes over a minute; a time budget
+    # stops it, and a budget past the float range never expires
+    def test_time_budget_bounds_the_witness_construction(self, warm_engine, monkeypatch):
+        monkeypatch.setattr(search, "_witnesses", {})
+        outcome = compute_vdw(2, 12, SearchBudget(max_seconds=0.5))
+        assert outcome.status == "budget-exhausted"
+        assert outcome.stats.elapsed < 1.5
+        assert verify_certificate(outcome.certificate)
+        assert search._witnesses == {}
+        outcome = compute_vdw(2, 3, SearchBudget(max_seconds=10**400))
+        assert (outcome.status, outcome.value) == ("exact", 9)
 
     def test_zero_second_budget_still_answers(self):
         outcome = compute_vdw(2, 5, SearchBudget(max_seconds=0.0), engine="python")
