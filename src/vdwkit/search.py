@@ -165,7 +165,8 @@ class Certificate(Record):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Resource ceiling for compute_vdw; None fields are unlimited."""
+    """Resource ceiling for compute_vdw; None fields are unlimited, and so
+    is a max_seconds past the float range."""
 
     max_seconds: float | None = None
     max_nodes: int | None = None
@@ -491,10 +492,10 @@ def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
     Python engine always), starts no thread.  A cube that finds a
     coloring makes the later ones moot; the lowest finding cube wins,
     whatever order the workers found theirs in, so a search that runs to
-    a verdict returns the same coloring for any worker count.  The length is exhausted when every cube of the walk
-    is.  An exception in any worker, an interrupt of the calling thread
-    included, stops every worker at its next step; it is raised once the
-    helpers have finished.
+    a verdict returns the same coloring for any worker count.  The length
+    is exhausted when every cube of the walk is.  An exception in any
+    worker, an interrupt of the calling thread included, stops every
+    worker at its next step; it is raised once the helpers have finished.
     """
     solo_end = time.perf_counter() + _SOLO_SECONDS
     walk = open_walk(r, T, order)
@@ -562,9 +563,10 @@ def compute_vdw(
     frontier: finding a valid coloring of length T moves the frontier
     up; exhausting length T proves W(r, k) = T.
 
-    mode "witness-proof" (the default) starts from power_residue_witness
-    and branches most-blocked-first, so the climb is short and usually
-    ends in one exhaustive proof.  mode "canonical" starts from the
+    mode "witness-proof" (the default) starts from power_residue_witness,
+    whose construction a time budget can cut short, and branches
+    most-blocked-first, so the climb is short and usually ends in one
+    exhaustive proof.  mode "canonical" starts from the
     all-zero coloring of length k-1 and branches lowest-first, and its
     certificate is the lexicographically least valid coloring of its
     length.  In both modes each length is cut into the same cubes

@@ -1,6 +1,7 @@
 """Search engine, certificates, budgets, and the file format."""
 import ctypes
 import itertools
+import os
 import random
 import re
 import subprocess
@@ -134,7 +135,12 @@ def kept_by_mirror(levels):
 TRIVIAL_THREADS = r"""
 #include <pthread.h>
 static int x;
-static void *bump(void *arg) { (void)arg; __atomic_fetch_add(&x, 1, __ATOMIC_RELAXED); return 0; }
+static void *bump(void *arg)
+{
+    (void)arg;
+    __atomic_fetch_add(&x, 1, __ATOMIC_RELAXED);
+    return 0;
+}
 int main(void)
 {
     pthread_t t;
@@ -147,7 +153,8 @@ int main(void)
 # reads "r k T order n", n + 1 offsets, then the positions and the colors
 # of the cells; four threads each open a run on the walk and step it 3
 # nodes at a time.  Prints the verdict and the lowest cube found (-1 when
-# none), read from the statuses after the threads join
+# none), read from the statuses after the threads join, then that cube's
+# coloring
 WALK_DRIVER = r"""
 #include <pthread.h>
 #include <stdio.h>
@@ -177,7 +184,8 @@ int main(void)
     for (int i = 0; i <= n; i++)
         if (scanf("%d", &offset[i]) != 1)
             return 2;
-    int m = offset[n], *pos = malloc((m + 1) * sizeof(int)), *col = malloc((m + 1) * sizeof(int));
+    int m = offset[n];
+    int *pos = malloc((m + 1) * sizeof(int)), *col = malloc((m + 1) * sizeof(int));
     for (int j = 0; j < m; j++)
         if (scanf("%d", &pos[j]) != 1)
             return 2;
@@ -205,7 +213,10 @@ int main(void)
     int exhausted = 0;
     for (int i = 0; i < n; i++) {
         if (w.status[i] == ST_FOUND) {
-            printf("%d %d\n", ST_FOUND, i);
+            printf("%d %d", ST_FOUND, i);
+            for (int p = 0; p < T; p++)
+                printf(" %d", w.colours[(size_t)i * T + p]);
+            printf("\n");
             return 0;
         }
         exhausted += w.status[i] == ST_EXHAUSTED;
@@ -731,12 +742,15 @@ class TestCompiledKernel:
         def run(name, stdin=""):
             return subprocess.run(
                 [str(tmp_path / name)], input=stdin, capture_output=True, text=True,
-                env={"TSAN_OPTIONS": "halt_on_error=1"}, timeout=120,
+                env={**os.environ, "TSAN_OPTIONS": "halt_on_error=1"}, timeout=120,
             )
 
         built, err = build("trivial", TRIVIAL_THREADS)
-        if not built or run("trivial").returncode != 0:
-            pytest.skip(f"-fsanitize=thread programs cannot be built or run here: {err}")
+        if built:
+            trivial = run("trivial")
+            built, err = trivial.returncode == 0, trivial.stderr
+        if not built:
+            pytest.skip(f"a -fsanitize=thread program cannot be built or run here: {err}")
         built, err = build("walk", WALK_DRIVER, f"-I{_engine._SOURCE.parent}")
         assert built, err
         for r, k, T, verdict in [
@@ -753,7 +767,8 @@ class TestCompiledKernel:
             one = open_walk(r, T, ORDER_MOST_BLOCKED)
             assert open_run(engine, r, k, T, ORDER_MOST_BLOCKED, one).step(1 << 40) == verdict
             first = one.status[:].index(ST_FOUND) if verdict == ST_FOUND else -1
-            assert proc.stdout.split() == [str(verdict), str(first)], (r, k, T)
+            expected = [verdict, first, *(one.result()[1] or [])]
+            assert proc.stdout.split() == [str(x) for x in expected], (r, k, T)
 
     # compiled to an object file with the build's flags, not -fsyntax-only:
     # gcc reports unused static functions only when it compiles, and some
