@@ -272,9 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=search.MODES,
         default=search.MODE_WITNESS_PROOF,
-        help="witness-proof (default): power-residue witness, then one "
-        "exhaustive proof; canonical: lexicographically least certificates "
-        "from a climb that starts at length k-1",
+        help="witness-proof (default): the pair's stored start coloring "
+        "(k-1 zeros when none is stored), then one exhaustive proof; "
+        "canonical: lexicographically least certificates from a climb that "
+        "starts at length k-1",
     )
     p.add_argument(
         "--workers",

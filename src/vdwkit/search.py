@@ -2,15 +2,17 @@
 
 W(r, k) is the least N such that every r-coloring of 1..N contains a
 monochromatic k-term arithmetic progression.  compute_vdw climbs a
-ladder of target lengths, by default from a power-residue witness: a
-valid coloring of length N plus a failed exhaustive search at N+1 pins
-W(r, k) = N+1 exactly.  Every outcome, exact or not, carries the longest
-valid coloring seen as a checkable certificate.
+ladder of target lengths, by default from a committed start coloring
+(starts/{r}-{k}.crt, a certificate file): a valid coloring of length N
+plus a failed exhaustive search at N+1 pins W(r, k) = N+1 exactly.
+Every outcome, exact or not, carries the longest valid coloring seen as
+a checkable certificate.
 
 Colorings are 0-based here: positions 0..N-1, colors 0..r-1.
 """
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import threading
@@ -56,9 +58,8 @@ _STEP = 1024
 _SOLO_STEP = 64
 _SOLO_SECONDS = 1e-3
 
-# power_residue_witness tries primes below this; it covers the p = 37
-# (W(4,3), W(2,5)) and p = 139 (W(2,6)) constructions in about 0.1 s
-_WITNESS_PRIMES = 256
+# the committed start colorings, one certificate file {r}-{k}.crt per pair
+_STARTS = Path(__file__).with_name("starts")
 
 
 def find_monochromatic_ap(colors, k: int):
@@ -321,13 +322,10 @@ class _Budget:
         self._pool = budget.max_nodes
         self._lock = threading.Lock()
 
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.perf_counter() >= self.deadline
-
     def draw(self, want: int) -> int:
         """Reserve up to want nodes; 0 means the deadline has passed or the
         pool is dry, so a worker reads the deadline only through here."""
-        if self.out_of_time():
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
             return 0
         if self._pool is None:
             return want
@@ -343,136 +341,23 @@ class _Budget:
             self._pool += unused
 
 
-def _primes_below(n: int) -> list[int]:
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(n) if sieve[i]]
+@functools.cache
+def _stored_start(r: int, k: int) -> tuple[int, ...]:
+    """The committed start coloring of (r, k), or () when none is stored.
 
-
-def _primitive_root(p: int) -> int:
-    factors = [q for q in _primes_below(p) if (p - 1) % q == 0]
-    return next(
-        g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
-    )
-
-
-def _first_ap_ends(colors, r: int, k: int) -> list[int]:
-    """For each start a, the end of the shortest monochromatic k-term
-    progression starting at a (len(colors) when there is none)."""
-    n = len(colors)
-    masks = [0] * r
-    for i, c in enumerate(colors):
-        masks[c] |= 1 << i
-    ends = [n] * n
-    seen = 0
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        starts = 0
-        for m in masks:
-            hits = m
-            for j in range(1, k):
-                hits &= m >> (j * d)
-            starts |= hits
-        fresh = starts & ~seen
-        seen |= starts
-        while fresh:
-            low = fresh & -fresh
-            a = low.bit_length() - 1
-            ends[a] = a + (k - 1) * d
-            fresh ^= low
-    return ends
-
-
-def power_residue_witness(r: int, k: int, out_of_time=lambda: False) -> list[int]:
-    """An ap-free coloring grown from tiled power-residue colorings (see
-    _grow_witness), built once per (r, k) in a process; each call
-    returns a fresh list.  A construction that out_of_time cuts short
-    returns the longest coloring it has, and is not kept."""
-    witness = _witnesses.get((r, k))
-    if witness is None:
-        colors, whole = _grow_witness(r, k, out_of_time)
-        if not whole:
-            return colors
-        witness = _witnesses[r, k] = tuple(colors)
-    return list(witness)
-
-
-# the whole witnesses built so far, by (r, k)
-_witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def _grow_witness(r: int, k: int, out_of_time) -> tuple[list[int], bool]:
-    """An ap-free coloring grown from tiled power-residue colorings.
-
-    For a prime p with r | p - 1 and a primitive root g, the residue
-    x != 0 gets color ind_g(x) mod r and 0 gets a chosen color c0; the
-    coloring repeats with period p (Rabung 1979; Rabung & Lotts 2012,
-    EJC 19(2) P35).  Every prime below _WITNESS_PRIMES with r | p - 1, every
-    c0 and every start offset is tried.  A window is at most (k-1)p
-    long, since the progression with step p is monochromatic, so k
-    periods hold every window that starts in the first.  Each longest
-    window free of monochromatic k-term progressions is then grown by
-    _extend_at_ends, and the longest result wins (ties: smallest p, c0,
-    offset).  Empty when no prime qualifies.  Returns the coloring and
-    whether the construction is whole: out_of_time is read before each
-    prime and each window, and once it is true the longest coloring so
-    far is returned, a window not yet grown being one too.
+    _STARTS/{r}-{k}.crt is a certificate file, read once per pair in a
+    process.  One whose header names another pair, or that fails
+    verify_certificate, raises ValueError naming the file: a start with a
+    progression could put the climb past the true W, whose exhausted
+    length would then be reported as a wrong exact value.
     """
-    best_len, windows, grown = 0, [], []
-    for p in _primes_below(_WITNESS_PRIMES):
-        if p < 3 or (p - 1) % r:
-            continue
-        if out_of_time():
-            break
-        g = _primitive_root(p)
-        residue_color = [0] * p
-        x = 1
-        for i in range(p - 1):
-            residue_color[x] = i % r
-            x = x * g % p
-        for c0 in range(r):
-            residue_color[0] = c0
-            tiled = [residue_color[i % p] for i in range(k * p)]
-            ends = _first_ap_ends(tiled, r, k)
-            end = len(tiled)
-            found = []
-            for start in range(len(tiled) - 1, -1, -1):
-                end = min(end, ends[start])
-                if start < p:
-                    found.append((end - start, tiled[start:end]))
-            for length, window in reversed(found):
-                if length > best_len:
-                    best_len, windows = length, []
-                if length == best_len:
-                    windows.append(window)
-    else:
-        for window in windows:
-            if out_of_time():
-                break
-            grown.append(_extend_at_ends(window, r, k))
-        else:
-            return max(grown, key=len, default=[]), True
-    return max(grown + windows[:1], key=len, default=[]), False
-
-
-def _extend_at_ends(colors, r: int, k: int) -> list[int]:
-    """Grow an ap-free coloring one position at a time, appending the
-    lowest color that keeps it ap-free, else prepending one, until
-    neither works."""
-    colors = list(colors)
-    while True:
-        for c in range(r):
-            if last_position_check(colors + [c], k):
-                colors.append(c)
-                break
-            # prepending c is appending it to the reversed coloring
-            if last_position_check(colors[::-1] + [c], k):
-                colors.insert(0, c)
-                break
-        else:
-            return colors
+    path = _STARTS / f"{r}-{k}.crt"
+    if not path.is_file():
+        return ()
+    cert = read_certificate(path)
+    if (cert.r, cert.k) != (r, k) or not verify_certificate(cert):
+        raise ValueError(f"{path} is not a valid W({r}, {k}) certificate")
+    return cert.colors
 
 
 def _search_target(r, k, T, order, budget: _Budget, engine: str, workers: int):
@@ -563,13 +448,13 @@ def compute_vdw(
     frontier: finding a valid coloring of length T moves the frontier
     up; exhausting length T proves W(r, k) = T.
 
-    mode "witness-proof" (the default) starts from power_residue_witness,
-    whose construction a time budget can cut short, and branches
-    most-blocked-first, so the climb is short and usually ends in one
-    exhaustive proof.  mode "canonical" starts from the
-    all-zero coloring of length k-1 and branches lowest-first, and its
-    certificate is the lexicographically least valid coloring of its
-    length.  In both modes each length is cut into the same cubes
+    mode "witness-proof" (the default) starts from the pair's stored
+    coloring (_stored_start; k-1 zeros when none is stored), which no
+    budget reads, and branches most-blocked-first, so the climb is short
+    and usually ends in one exhaustive proof.  mode "canonical" starts
+    from the all-zero coloring of length k-1 and branches lowest-first,
+    and its certificate is the lexicographically least valid coloring of
+    its length.  In both modes each length is cut into the same cubes
     (search_cubes) whatever the worker count, so certificates are
     deterministic: the same for either engine and any worker count.
 
@@ -616,11 +501,9 @@ def compute_vdw(
     start = time.perf_counter()
     tracker = _Budget(budget, start)
 
-    frontier_colors: list[int] = [0] * (k - 1)
-    if mode == MODE_WITNESS_PROOF and not tracker.out_of_time():
-        witness = power_residue_witness(r, k, tracker.out_of_time)
-        if len(witness) > len(frontier_colors):
-            frontier_colors = witness
+    frontier_colors = [0] * (k - 1)
+    if mode == MODE_WITNESS_PROOF:
+        frontier_colors = list(_stored_start(r, k)) or frontier_colors
     if max_length is not None:
         frontier_colors = frontier_colors[:max_length]
     total_nodes = max_depth = 0

@@ -1,5 +1,6 @@
 """Search engine, certificates, budgets, and the file format."""
 import ctypes
+import functools
 import itertools
 import os
 import random
@@ -28,7 +29,14 @@ from vdwkit._engine import (
     open_walk,
     search_cubes,
 )
-from vdwkit.registry import USER_SUPPLIED, Registry, RegistryConflictError, VdwRecord
+from vdwkit.cli import main as cli_main
+from vdwkit.registry import (
+    KNOWN_VALUES,
+    USER_SUPPLIED,
+    Registry,
+    RegistryConflictError,
+    VdwRecord,
+)
 from vdwkit.search import (
     Certificate,
     CertificateParseError,
@@ -409,8 +417,8 @@ class TestComputeVdw:
             assert (many.status, many.value) == (one.status, one.value)
             assert many.certificate.colors == one.certificate.colors
 
-    # the W(2, 5) climb from its 149-long witness runs T = 150..176 on the
-    # split cubes of lengths from SPLIT_FROM on; with no solo phase the
+    # the W(2, 5) climb from its 149-long stored start runs T = 150..176 on
+    # the split cubes of lengths from SPLIT_FROM on; with no solo phase the
     # helpers start at every length
     def test_split_cube_certificates_ignore_engine_and_worker_count(
         self, warm_engine, monkeypatch, helpers_started
@@ -441,46 +449,6 @@ class TestComputeVdw:
         for mode in ("witness-proof", "canonical"):
             outcome = compute_vdw(3, 3, mode=mode, engine=engine)
             assert (outcome.status, outcome.value) == ("exact", 27)
-
-    def test_witness_is_built_once_per_pair(self, monkeypatch):
-        calls = []
-        grow = search._grow_witness
-
-        def counting(r, k, out_of_time):
-            calls.append((r, k))
-            return grow(r, k, out_of_time)
-
-        monkeypatch.setattr(search, "_grow_witness", counting)
-        monkeypatch.setattr(search, "_witnesses", {})
-        first = compute_vdw(2, 3, engine="python")
-        second = compute_vdw(2, 3, engine="python")
-        # every call hands out its own list
-        handed = search.power_residue_witness(2, 3)
-        handed.append(1)
-        assert search.power_residue_witness(2, 3) == handed[:-1]
-        assert calls == [(2, 3)]
-        assert first.certificate == second.certificate
-
-    # the construction reads the deadline before each prime and each
-    # window: cut short after two of the 502 tied windows for k = 10 are
-    # grown, it returns the longer of them, and it is not kept.  All 53
-    # odd primes below 256 qualify for r = 2
-    def test_witness_construction_stops_when_out_of_time(self, monkeypatch):
-        grown = []
-        extend = search._extend_at_ends
-
-        def counting(colors, r, k):
-            grown.append(extend(colors, r, k))
-            return grown[-1]
-
-        monkeypatch.setattr(search, "_extend_at_ends", counting)
-        monkeypatch.setattr(search, "_witnesses", {})
-        reads = itertools.count()
-        colors = search.power_residue_witness(2, 10, lambda: next(reads) >= 55)
-        assert len(grown) == 2
-        assert colors == max(grown, key=len)
-        assert ap_free(colors, 10)
-        assert search._witnesses == {}
 
     # each worker opens one run per length and walks the cubes in it, so
     # with no solo phase the second open is the helper's first.  One node
@@ -567,8 +535,8 @@ class TestComputeVdw:
                     break
             assert not helpers_started, (r, k)
 
-    # one length, T = 27, past the 26-long witness; only the calling thread
-    # starts helpers, so a helper that started its own would show here
+    # one length, T = 27, past the 26-long stored start; only the calling
+    # thread starts helpers, so a helper that started its own would show here
     @pytest.mark.parametrize("workers", [2, 4])
     def test_helpers_join_once_the_solo_phase_is_over(
         self, warm_engine, monkeypatch, helpers_started, workers
@@ -580,7 +548,7 @@ class TestComputeVdw:
         cubes = len(search_cubes(3, 27, ORDER_MOST_BLOCKED))
         assert len(helpers_started) == min(workers, cubes) - 1
 
-    # the W(4, 3) proof: its witness is 75 long, so the search is the one
+    # the W(4, 3) proof: its stored start is 75 long, so the search is the one
     # exhausted length, whose cubes all run whatever the worker count; a
     # change of tree shows here
     @pytest.mark.slow
@@ -1192,24 +1160,37 @@ class TestBudgets:
         assert outcome.status == "budget-exhausted"
         assert outcome.stats.elapsed < 0.6
 
-    # W(2, 12)'s construction alone takes over a minute; a time budget
-    # stops it, and a budget past the float range never expires
-    def test_time_budget_bounds_the_witness_construction(self, warm_engine, monkeypatch):
-        monkeypatch.setattr(search, "_witnesses", {})
+    # W(2, 12) has no stored start, so it climbs from 11 zeros until a time
+    # budget stops it; a budget past the float range never expires
+    def test_time_budget_bounds_a_climb(self, warm_engine):
         outcome = compute_vdw(2, 12, SearchBudget(max_seconds=0.5))
         assert outcome.status == "budget-exhausted"
         assert outcome.stats.elapsed < 1.5
         assert verify_certificate(outcome.certificate)
-        assert search._witnesses == {}
         outcome = compute_vdw(2, 3, SearchBudget(max_seconds=10**400))
         assert (outcome.status, outcome.value) == ("exact", 9)
 
-    def test_zero_second_budget_still_answers(self):
-        outcome = compute_vdw(2, 5, SearchBudget(max_seconds=0.0), engine="python")
+    # no start is built, so a node budget bounds the whole run: W(2, 10) and
+    # W(3, 6) have no stored start and climb from k-1 zeros
+    @pytest.mark.parametrize("r, k", [(2, 10), (3, 6)])
+    def test_node_budget_bounds_the_start(self, warm_engine, r, k):
+        began = time.perf_counter()
+        outcome = compute_vdw(r, k, SearchBudget(max_nodes=100))
+        assert time.perf_counter() - began < 1
         assert outcome.status == "budget-exhausted"
-        # the starting frontier of length k-1 is the trivial certificate
-        assert outcome.value == 5
-        assert outcome.certificate.colors == (0, 0, 0, 0)
+        assert outcome.stats.nodes <= 100
+        assert verify_certificate(outcome.certificate)
+
+    def test_zero_second_budget_still_answers(self):
+        # the stored start is read without reading the budget
+        outcome = compute_vdw(2, 5, SearchBudget(max_seconds=0.0), engine="python")
+        assert (outcome.status, outcome.value) == ("budget-exhausted", 150)
+        assert outcome.certificate.colors == search._stored_start(2, 5)
+        # with none stored, the starting frontier of length k-1 is the
+        # trivial certificate
+        outcome = compute_vdw(2, 8, SearchBudget(max_seconds=0.0), engine="python")
+        assert (outcome.status, outcome.value) == ("budget-exhausted", 8)
+        assert outcome.certificate.colors == (0,) * 7
 
     def test_budget_does_not_truncate_exact_results(self, warm_engine):
         outcome = compute_vdw(2, 3, SearchBudget(max_seconds=30, max_nodes=10**6))
@@ -1342,3 +1323,90 @@ class TestCertificateFiles:
         path.write_text("2 3 3\n0 1 2\n")
         cert = read_certificate(path)
         assert not verify_certificate(cert)
+
+
+# the committed starts, one certificate file per pair, and their lengths
+STORED_STARTS = {
+    (2, 3): 8, (3, 3): 26, (2, 4): 34, (2, 5): 149, (4, 3): 75, (2, 6): 696,
+    (3, 4): 292, (5, 3): 48, (6, 3): 207, (4, 4): 592, (3, 5): 965, (2, 7): 1375,
+}
+STARTS_DIR = search._STARTS
+START_FILES = sorted(STARTS_DIR.glob("*.crt"))
+
+
+@pytest.fixture
+def start_store(tmp_path, monkeypatch):
+    """Point the start loader at an empty tmp_path, with a cache of its own."""
+    monkeypatch.setattr(search, "_STARTS", tmp_path)
+    monkeypatch.setattr(
+        search, "_stored_start", functools.cache(search._stored_start.__wrapped__)
+    )
+    return tmp_path
+
+
+class TestStoredStarts:
+    def test_the_store_holds_the_pinned_pairs(self):
+        assert [p.name for p in START_FILES] == sorted(
+            f"{r}-{k}.crt" for r, k in STORED_STARTS
+        )
+
+    @pytest.mark.parametrize("path", START_FILES, ids=lambda p: p.stem)
+    def test_each_start_certifies_its_pair(self, path, capsys):
+        cert = read_certificate(path)
+        assert path.name == f"{cert.r}-{cert.k}.crt"
+        assert cert.length == STORED_STARTS[cert.r, cert.k]
+        assert verify_certificate(cert)
+        assert cli_main(["verify", str(path)]) == 0
+        capsys.readouterr()
+        # below the registry's value for the known pairs, which checks the
+        # registry too
+        known = {(r, k): value for r, k, value in KNOWN_VALUES}
+        if (cert.r, cert.k) in known:
+            assert cert.length < known[cert.r, cert.k]
+        assert search._stored_start(cert.r, cert.k) == cert.colors
+
+    def test_each_pair_is_read_once_and_every_search_gets_the_same_start(
+        self, start_store, monkeypatch
+    ):
+        stored = STARTS_DIR / "2-4.crt"
+        (start_store / "2-4.crt").write_text(stored.read_text())
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_certificate(path)
+
+        monkeypatch.setattr(search, "read_certificate", counting)
+        first = compute_vdw(2, 4, engine="python")
+        second = compute_vdw(2, 4, engine="python")
+        assert reads == [start_store / "2-4.crt"]
+        assert first.certificate == second.certificate
+        # the kept start is a tuple, so no search can change the next one's
+        start = search._stored_start(2, 4)
+        assert type(start) is tuple
+        assert start == read_certificate(stored).colors
+
+    # a start with a progression could put the climb past the true W, so
+    # its file is refused by name, and the CLI exits 2
+    def test_a_start_with_a_progression_is_refused(self, start_store, capsys):
+        text = (STARTS_DIR / "2-4.crt").read_text()
+        comment, header, colors = text.splitlines()
+        colors = [int(c) for c in colors.split()]
+        flip = next(
+            i for i in range(len(colors))
+            if not ap_free(colors[:i] + [1 - colors[i]] + colors[i + 1:], 4)
+        )
+        colors[flip] = 1 - colors[flip]
+        path = start_store / "2-4.crt"
+        path.write_text(f"{comment}\n{header}\n{' '.join(map(str, colors))}\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            compute_vdw(2, 4, engine="python")
+        assert cli_main(["search", "--r", "2", "--k", "4", "--engine", "python"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_a_start_naming_another_pair_is_refused(self, start_store):
+        path = start_store / "3-4.crt"
+        path.write_text((STARTS_DIR / "2-4.crt").read_text())
+        # no node to spend, so a start wrongly taken ends the run at once
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            compute_vdw(3, 4, SearchBudget(max_nodes=0), engine="python")
